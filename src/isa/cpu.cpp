@@ -15,6 +15,28 @@ std::int32_t as_signed(std::uint32_t v) noexcept {
     return static_cast<std::int32_t>(v);
 }
 
+/// Micro-ops whose retirement touches nothing outside the core, so a
+/// burst may retire them: ALU ops, mul, branches, and jal/jalr while no
+/// observer would be told about a call or return.
+bool burst_safe(UopKind kind, bool observed) noexcept {
+    switch (kind) {
+        case UopKind::kNop: case UopKind::kAdd: case UopKind::kSub:
+        case UopKind::kAnd: case UopKind::kOr: case UopKind::kXor:
+        case UopKind::kShl: case UopKind::kShr: case UopKind::kSra:
+        case UopKind::kMul: case UopKind::kSlt: case UopKind::kSltu:
+        case UopKind::kAddi: case UopKind::kAndi: case UopKind::kOri:
+        case UopKind::kXori: case UopKind::kShli: case UopKind::kShri:
+        case UopKind::kLui: case UopKind::kBeq: case UopKind::kBne:
+        case UopKind::kBlt: case UopKind::kBge: case UopKind::kBltu:
+        case UopKind::kBgeu:
+            return true;
+        case UopKind::kJal: case UopKind::kJalr:
+            return !observed;
+        default:
+            return false;  // Memory and system ops, kInvalid.
+    }
+}
+
 }  // namespace
 
 Cpu::Cpu(std::string name, mem::Bus& bus) : name_(std::move(name)), bus_(bus) {}
@@ -70,10 +92,12 @@ void Cpu::clear_irq(unsigned line) noexcept {
 void Cpu::add_observer(CpuObserver* observer) {
     if (observer == nullptr) throw IsaError("Cpu::add_observer: null");
     observers_.push_back(observer);
+    if (observer->wants_instructions()) insn_observers_.push_back(observer);
 }
 
 void Cpu::remove_observer(CpuObserver* observer) noexcept {
     std::erase(observers_, observer);
+    std::erase(insn_observers_, observer);
 }
 
 void Cpu::notify_world_switch() {
@@ -279,6 +303,46 @@ void Cpu::skip(sim::Cycle /*now*/, sim::Cycle cycles) {
     }
 }
 
+void Cpu::burst(sim::Cycle& now, sim::Cycle horizon) {
+    // Each burst cycle is exactly one tick(): a stall cycle, or one
+    // translated retirement through the same path as step(). The state
+    // checked up front cannot change inside a burst, since no
+    // burst-safe op reaches outside the core.
+    if (halted_ || waiting_ || !insn_observers_.empty() ||
+        !translation_usable()) {
+        return;
+    }
+    const TranslationImage& image = *translation_;
+    const bool observed = !observers_.empty();
+    while (now < horizon) {
+        if (stall_ > 0) {
+            const std::uint32_t burn = static_cast<std::uint32_t>(
+                std::min<sim::Cycle>(stall_, horizon - now));
+            stall_ -= burn;
+            cycles_ += burn;
+            now += burn;
+            continue;
+        }
+        if (irq_deliverable()) return;
+        const mem::Addr insn_pc = pc_;
+        if ((insn_pc & 3u) != 0 || !image.contains(insn_pc)) return;
+        const std::size_t idx = (insn_pc - image.base) >> 2;
+        const std::uint8_t flags = image.translated[idx];
+        const Uop& u = image.uops[idx];
+        if ((flags & TranslationImage::kTranslated) == 0 ||
+            !burst_safe(u.kind, observed)) {
+            return;
+        }
+        if ((flags & TranslationImage::kBlockStart) != 0) elide_live_ = true;
+        ++cycles_;
+        pc_ = insn_pc + 4;
+        exec_one(u, insn_pc);
+        ++instret_;
+        ++translated_instret_;
+        ++now;
+    }
+}
+
 bool Cpu::step() {
     if (halted_) return false;
     if (take_pending_interrupt()) return true;
@@ -307,9 +371,9 @@ bool Cpu::step() {
             // Copied by value: exec_one may store into the code window,
             // firing the write watch that frees this very image.
             const Uop u = translation_->uops[idx];
-            if (!observers_.empty()) {
+            if (!insn_observers_.empty()) {
                 const Instruction insn = decode(u.raw);
-                for (CpuObserver* o : observers_) {
+                for (CpuObserver* o : insn_observers_) {
                     o->on_instruction(insn_pc, insn);
                 }
             }
@@ -344,8 +408,10 @@ bool Cpu::step() {
         return true;
     }
 
-    const Instruction insn = decode(word);
-    for (CpuObserver* o : observers_) o->on_instruction(insn_pc, insn);
+    if (!insn_observers_.empty()) {
+        const Instruction insn = decode(word);
+        for (CpuObserver* o : insn_observers_) o->on_instruction(insn_pc, insn);
+    }
 
     pc_ = insn_pc + 4;
     exec_one(predecode(word, insn_pc), insn_pc);

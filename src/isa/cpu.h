@@ -42,6 +42,10 @@ class Cpu;
 class CpuObserver {
 public:
     virtual ~CpuObserver() = default;
+    /// Observers that return false are never sent on_instruction, so a
+    /// core whose observers all opt out skips decoding each retired
+    /// word. Read once, when the observer is attached.
+    [[nodiscard]] virtual bool wants_instructions() const { return true; }
     virtual void on_instruction(mem::Addr pc, const Instruction& insn) {
         (void)pc;
         (void)insn;
@@ -91,6 +95,12 @@ public:
     /// skip() replays in O(1).
     [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) override;
     void skip(sim::Cycle now, sim::Cycle cycles) override;
+
+    /// Ticks alone up to `horizon` (docs/SCHEDULER.md, "CPU bursts"):
+    /// burns stall cycles and retires translated ALU, mul and branch
+    /// micro-ops (jal/jalr too while no observer is attached), stopping
+    /// before any cycle whose tick could reach another component.
+    void burst(sim::Cycle& now, sim::Cycle horizon) override;
 
     /// Executes exactly one instruction (ignoring stall modelling).
     /// Returns false when halted.
@@ -249,6 +259,7 @@ private:
     std::uint32_t stall_ = 0;
 
     std::vector<CpuObserver*> observers_;
+    std::vector<CpuObserver*> insn_observers_;  ///< Want on_instruction.
     EcallHandler ecall_handler_;
 
     // Translation state. The image is shared and immutable; everything

@@ -84,12 +84,18 @@ void Simulator::step() {
 
 void Simulator::run_for(Cycle cycles) { run_until(now_ + cycles); }
 
-Cycle Simulator::earliest_wake(Cycle limit) {
+Cycle Simulator::earliest_wake(Cycle limit, bool& lead_active) {
     Cycle wake = limit;
-    for (Tickable* t : tickables_) {
-        const Cycle na = t->next_activity(now_);
-        if (na <= now_) return now_;  // active this cycle
-        if (na < wake) wake = na;
+    lead_active = false;
+    for (std::size_t i = 0; i < tickables_.size(); ++i) {
+        const Cycle na = tickables_[i]->next_activity(now_);
+        if (na > now_) {
+            if (na < wake) wake = na;
+        } else if (i == 0) {
+            lead_active = true;
+        } else {
+            return now_;  // A component other than the lead is active.
+        }
     }
     return wake;
 }
@@ -110,9 +116,25 @@ void Simulator::run_until(Cycle target) {
         if (!events_.empty() && events_.top().at < limit) {
             limit = events_.top().at;
         }
-        const Cycle wake = earliest_wake(limit);
+        bool lead_active = false;
+        const Cycle wake = earliest_wake(limit, lead_active);
         if (wake <= now_) {
             step();
+            continue;
+        }
+        if (lead_active) {
+            // Only the lead has work before `wake`: it ticks alone,
+            // advancing now_ itself, and every other component replays
+            // the burst. Where it stops short, its next cycle may touch
+            // another component, so that cycle is stepped normally.
+            const Cycle start = now_;
+            tickables_.front()->burst(now_, wake);
+            const Cycle ran = now_ - start;
+            for (std::size_t i = 1; ran != 0 && i < tickables_.size(); ++i) {
+                tickables_[i]->skip(start, ran);
+            }
+            cycles_burst_ += ran;
+            if (now_ < wake) step();
             continue;
         }
         // Every component is quiescent until `wake` and no event is

@@ -12,7 +12,10 @@
 // wake point instead of cycle-stepping, after asking each component to
 // skip() the gap. skip() must leave the component bit-identical to
 // having ticked every skipped cycle — the fast path is a scheduling
-// optimisation, never a semantics change.
+// optimisation, never a semantics change. When only the first
+// registered component (the CPU) is active, run_until() instead lets
+// it tick alone via burst() up to the earliest other wake or event, and
+// then skip()s every other component over the burst.
 #pragma once
 
 #include <cstddef>
@@ -69,6 +72,17 @@ public:
     virtual void skip(Cycle now, Cycle cycles) {
         (void)now;
         (void)cycles;
+    }
+
+    /// Ticks this component alone for consecutive cycles from `now`,
+    /// incrementing `now` (the kernel's clock) after each one, and stops
+    /// at `horizon` or before any cycle whose tick could touch another
+    /// component. Only called on the first registered tickable, when it
+    /// is active and every other one is quiescent until `horizon`. The
+    /// default ticks nothing, which falls back to a per-cycle step().
+    virtual void burst(Cycle& now, Cycle horizon) {
+        (void)now;
+        (void)horizon;
     }
 };
 
@@ -206,8 +220,10 @@ public:
 
     /// Advances until now() == target (no-op when already past). With
     /// quiescence enabled (the default) stretches where every component
-    /// is idle and no event is due are skipped in one jump; results are
-    /// bit-identical to per-cycle stepping (docs/SCHEDULER.md).
+    /// is idle and no event is due are skipped in one jump, and
+    /// stretches where only the first component is active run as its
+    /// burst(); results are bit-identical to per-cycle stepping
+    /// (docs/SCHEDULER.md).
     void run_until(Cycle target);
 
     /// Enables/disables quiescence fast-forward (differential testing).
@@ -225,6 +241,11 @@ public:
     /// Cycles fast-forwarded (not individually stepped) so far.
     [[nodiscard]] std::uint64_t cycles_skipped() const noexcept {
         return cycles_skipped_;
+    }
+
+    /// Cycles the first component ran alone in bursts so far.
+    [[nodiscard]] std::uint64_t cycles_burst() const noexcept {
+        return cycles_burst_;
     }
 
     /// Resolves an interned label id (telemetry/tests).
@@ -259,13 +280,16 @@ private:
     void fire_due_events();
     std::uint32_t intern_label(std::string_view label);
     /// Earliest quiescent wake across tickables, capped at `limit`;
-    /// returns now_ when any component is active this cycle.
-    [[nodiscard]] Cycle earliest_wake(Cycle limit);
+    /// returns now_ when any component other than the first is active
+    /// this cycle. `lead_active` reports whether the first is active;
+    /// its wake is then left out of the result.
+    [[nodiscard]] Cycle earliest_wake(Cycle limit, bool& lead_active);
 
     Cycle now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t events_fired_ = 0;
     std::uint64_t cycles_skipped_ = 0;
+    std::uint64_t cycles_burst_ = 0;
     bool quiescence_ = true;
     bool ticking_ = false;
     bool compact_pending_ = false;

@@ -380,6 +380,85 @@ TEST(ExecLockstep, ControlLoopNodesStayIdentical) {
     EXPECT_GT(b.cpu.translated_instret(), 0u);
 }
 
+TEST(ExecLockstep, CpuBurstsMatchPerCycleAcrossTimerInterrupts) {
+    // ALU, mul-stall and branch loops plus a leaf call, with an
+    // auto-reloading timer whose interrupt lands inside bursts at a
+    // period coprime to every loop. The per-cycle node is the reference.
+    std::ostringstream os;
+    os << "start:\n"
+       << "    la   r1, isr\n"
+       << "    csrw mtvec, r1\n"
+       << "    li   r1, " << platform::kTimerBase << "\n"
+       << "    li   r2, 997\n"
+       << "    sw   r2, r1, 4\n"   // COMPARE.
+       << "    addi r2, r0, 3\n"
+       << "    sw   r2, r1, 8\n"   // CTRL: enable + auto-reload.
+       << "    addi r2, r0, " << (1u << platform::kIrqTimer) << "\n"
+       << "    csrw mie, r2\n"
+       << "    addi r2, r0, 2\n"
+       << "    csrw mstatus, r2\n"
+       << "main:\n"
+       << "    addi r7, r0, 200\n"
+       << "alu:\n"
+       << "    addi r2, r2, 3\n"
+       << "    xor  r3, r3, r2\n"
+       << "    shli r4, r2, 3\n"
+       << "    sub  r5, r4, r3\n"
+       << "    addi r7, r7, -1\n"
+       << "    bne  r7, r0, alu\n"
+       << "    addi r7, r0, 50\n"
+       << "mul:\n"
+       << "    mul  r6, r6, r2\n"
+       << "    addi r6, r6, 1\n"
+       << "    addi r7, r7, -1\n"
+       << "    bne  r7, r0, mul\n"
+       << "    addi r7, r0, 64\n"
+       << "branch:\n"
+       << "    andi r8, r7, 1\n"
+       << "    beq  r8, r0, even\n"
+       << "    addi r9, r9, 1\n"
+       << "    j    next\n"
+       << "even:\n"
+       << "    addi r10, r10, 1\n"
+       << "next:\n"
+       << "    addi r7, r7, -1\n"
+       << "    blt  r0, r7, branch\n"
+       << "    call leaf\n"
+       << "    j    main\n"
+       << "leaf:\n"
+       << "    addi r11, r11, 1\n"
+       << "    ret\n"
+       << "isr:\n"
+       << "    addi r12, r12, 1\n"
+       << "    mret\n";
+    const isa::Program program = isa::assemble(os.str(), kCodeBase);
+
+    platform::NodeConfig a_cfg;
+    a_cfg.name = "percycle";
+    a_cfg.quiescence = false;
+    platform::NodeConfig b_cfg = a_cfg;
+    b_cfg.name = "bursts";
+    b_cfg.quiescence = true;
+    platform::Node a(a_cfg);
+    platform::Node b(b_cfg);
+    a.load_and_start(program);
+    b.load_and_start(program);
+    ASSERT_TRUE(b.cpu.translation_active());
+
+    for (int slice = 0; slice < 40; ++slice) {
+        const sim::Cycle len = 300 + static_cast<sim::Cycle>(slice) * 137 % 700;
+        a.run(len);
+        b.run(len);
+        ASSERT_EQ(a.sim.now(), b.sim.now());
+        expect_same_state(a.cpu, b.cpu, "slice " + std::to_string(slice));
+    }
+    EXPECT_EQ(a.timer.matches(), b.timer.matches());
+    EXPECT_GT(b.cpu.reg(12), 10u);  // Timer interrupts were taken.
+    EXPECT_EQ(a.sim.cycles_burst(), 0u);
+    // Most cycles ran in bursts, so the comparison is not vacuous.
+    EXPECT_GT(b.sim.cycles_burst(), b.sim.now() * 9 / 10);
+}
+
 TEST(ExecTranslation, SelfModifyingCodeFallsBackToInterpreter) {
     // The program overwrites its own `addi r1, r0, 1` with
     // `addi r1, r0, 42`, then loops back over it. Both engines must

@@ -277,17 +277,52 @@ TEST(FleetQuiescence, InterruptEstateFastForwardMatchesPerCycle) {
 
 TEST(FleetQuiescence, BusyEstateFastForwardIsExactToo) {
     // The busy-wait workload keeps cores active, so there is little to
-    // skip — but whatever is skipped must still be exact.
+    // skip; instead each CPU runs alone in bursts between the other
+    // components' wakes. Everything observable must still be exact,
+    // including the forensics of a breach on one device.
     constexpr std::size_t kDevices = 8;
+    constexpr std::size_t kVictim = 6;
+    auto run = [](Fleet& fleet) {
+        fleet.run(3000);
+        fleet.checkpoint_all();
+        attack::StackSmashAttack smash;
+        smash.launch(fleet.device(kVictim),
+                     fleet.device(kVictim).sim.now() + 1000);
+        fleet.run(12000);
+    };
     Fleet percycle(estate_config(kDevices, 1, false, false));
     Fleet skipped(estate_config(kDevices, 1, true, false));
-    percycle.run(15000);
-    skipped.run(15000);
+    run(percycle);
+    run(skipped);
+
+    // Bursts cover at least 90% of every busy node's cycles, so the
+    // comparison below exercises them.
+    for (std::size_t i = 0; i < kDevices; ++i) {
+        const sim::Simulator& sim = skipped.device(i).sim;
+        EXPECT_GE(sim.cycles_burst() * 10, sim.now() * 9) << "device " << i;
+        EXPECT_EQ(percycle.device(i).sim.cycles_burst(), 0u);
+    }
+    ASSERT_GT(percycle.device(kVictim).ssm->evidence().size(), 1u);
 
     EXPECT_EQ(device_counters(percycle), device_counters(skipped));
     EXPECT_EQ(percycle.collect_metrics().prometheus(),
               skipped.collect_metrics().prometheus());
     EXPECT_EQ(percycle.chrome_trace(), skipped.chrome_trace());
+    for (std::size_t i = 0; i < kDevices; ++i) {
+        EXPECT_EQ(percycle.device(i).ssm->evidence().serialize(),
+                  skipped.device(i).ssm->evidence().serialize())
+            << "device " << i;
+    }
+    EXPECT_EQ(percycle.sealed_postmortems(), skipped.sealed_postmortems());
+
+    percycle.drain_siem();
+    skipped.drain_siem();
+    ASSERT_GT(percycle.siem_stream().records(), 0u);
+    EXPECT_EQ(percycle.siem_stream().jsonl(), skipped.siem_stream().jsonl());
+    EXPECT_EQ(percycle.siem_stream().syslog(),
+              skipped.siem_stream().syslog());
+    EXPECT_EQ(percycle.siem_stream().head_hex(),
+              skipped.siem_stream().head_hex());
 }
 
 TEST(FleetQuiescence, EightWorkerSkippedRunMatchesSerialPerCycle) {

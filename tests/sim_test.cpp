@@ -1,6 +1,10 @@
 // Simulation-kernel tests: event ordering, tickables, trace streams.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "sim/simulator.h"
 #include "sim/trace.h"
 #include "util/error.h"
@@ -207,6 +211,146 @@ TEST(Quiescence, DisabledKnobForcesPerCycle) {
     sim.run_for(500);
     EXPECT_EQ(p.ticks, 500);
     EXPECT_EQ(sim.cycles_skipped(), 0u);
+}
+
+// --- CPU bursts ---------------------------------------------------------------
+// A lead (first-registered, always active) tickable plus periodic
+// pollers, all logging their visible work as (id, cycle) into one
+// shared log, so the interleaving is compared too. A quiescent run
+// lets the lead burst; it must leave the same log as per-cycle stepping.
+
+using TickLog = std::vector<std::pair<int, Cycle>>;
+
+class Lead : public Tickable {
+public:
+    explicit Lead(TickLog& log) : log_(log) {}
+    void tick(Cycle now) override { log_.emplace_back(0, now); }
+
+protected:
+    TickLog& log_;
+};
+
+// Bursts through every cycle except those in `stops` (standing in for
+// a CPU's loads, stores and system ops).
+class BurstingLead : public Lead {
+public:
+    BurstingLead(TickLog& log, std::set<Cycle> stops)
+        : Lead(log), stops_(std::move(stops)) {}
+    void burst(Cycle& now, Cycle horizon) override {
+        while (now < horizon && stops_.count(now) == 0) tick(now++);
+    }
+
+private:
+    std::set<Cycle> stops_;
+};
+
+class Poller : public Periodic {
+public:
+    Poller(TickLog& log, int id, Cycle period)
+        : Periodic(period), log_(log), id_(id) {}
+    void tick(Cycle now) override {
+        Periodic::tick(now);
+        if (now % period_ == 0) log_.emplace_back(id_, now);
+    }
+
+private:
+    TickLog& log_;
+    int id_;
+};
+
+struct BurstRun {
+    TickLog log;
+    int poller_ticks = 0;
+    std::uint64_t cycles_burst = 0;
+    std::uint64_t cycles_skipped = 0;
+};
+
+// Runs a lead plus pollers of periods 7, 13 and 97 for `cycles`, with
+// events (id 9) at `events`, each scheduling another (id 8) 4 cycles on.
+BurstRun run_burst_scenario(bool quiescence, bool bursting,
+                            std::set<Cycle> stops, Cycle cycles,
+                            const std::vector<Cycle>& events) {
+    BurstRun out;
+    Simulator sim;
+    sim.set_quiescence(quiescence);
+    BurstingLead bursting_lead(out.log, std::move(stops));
+    Lead plain_lead(out.log);
+    Poller p7(out.log, 1, 7);
+    Poller p13(out.log, 2, 13);
+    Poller p97(out.log, 3, 97);
+    sim.add_tickable(bursting ? static_cast<Tickable*>(&bursting_lead)
+                              : static_cast<Tickable*>(&plain_lead));
+    sim.add_tickable(&p7);
+    sim.add_tickable(&p13);
+    sim.add_tickable(&p97);
+    for (const Cycle at : events) {
+        sim.schedule_at(at, "e", [&out, &sim] {
+            out.log.emplace_back(9, sim.now());
+            sim.schedule_in(4, "chained",
+                            [&out, &sim] { out.log.emplace_back(8, sim.now()); });
+        });
+    }
+    sim.run_for(cycles);
+    EXPECT_EQ(sim.now(), cycles);
+    out.poller_ticks = p7.ticks + p13.ticks + p97.ticks;
+    out.cycles_burst = sim.cycles_burst();
+    out.cycles_skipped = sim.cycles_skipped();
+    return out;
+}
+
+TEST(Burst, TickLogsMatchPerCycle) {
+    const BurstRun slow = run_burst_scenario(false, true, {}, 1000, {});
+    const BurstRun fast = run_burst_scenario(true, true, {}, 1000, {});
+    EXPECT_EQ(fast.log, slow.log);
+    EXPECT_EQ(fast.poller_ticks, slow.poller_ticks);
+    EXPECT_EQ(slow.cycles_burst, 0u);
+    // Every cycle where no poller is due runs inside a burst.
+    EXPECT_GT(fast.cycles_burst, 700u);
+    EXPECT_EQ(fast.cycles_skipped, 0u);  // The lead is never idle.
+}
+
+TEST(Burst, EventsAndPollerWakesLandAtExactCycles) {
+    // Events mid-horizon (including one 4 cycles after each, scheduled
+    // from inside an event) end the burst at their exact cycle.
+    const std::vector<Cycle> events = {5, 40, 333, 334, 801};
+    const BurstRun slow = run_burst_scenario(false, true, {}, 1000, events);
+    const BurstRun fast = run_burst_scenario(true, true, {}, 1000, events);
+    EXPECT_EQ(fast.log, slow.log);
+    EXPECT_EQ(fast.poller_ticks, slow.poller_ticks);
+    EXPECT_GT(fast.cycles_burst, 0u);
+
+    std::vector<Cycle> fired;
+    std::vector<Cycle> p97;
+    for (const auto& [id, at] : fast.log) {
+        if (id == 9 || id == 8) fired.push_back(at);
+        if (id == 3) p97.push_back(at);
+    }
+    EXPECT_EQ(fired, (std::vector<Cycle>{5, 9, 40, 44, 333, 334, 337, 338,
+                                         801, 805}));
+    EXPECT_EQ(p97, (std::vector<Cycle>{0, 97, 194, 291, 388, 485, 582, 679,
+                                       776, 873, 970}));
+}
+
+TEST(Burst, LeadStoppingShortStepsThatCycle) {
+    // The lead refuses to burst through some cycles (a CPU at a load or
+    // store); the kernel steps those cycles with every component.
+    const std::set<Cycle> stops = {0, 1, 2, 50, 51, 52, 53, 400, 999};
+    const BurstRun slow = run_burst_scenario(false, true, stops, 1000, {});
+    const BurstRun fast = run_burst_scenario(true, true, stops, 1000, {});
+    EXPECT_EQ(fast.log, slow.log);
+    EXPECT_EQ(fast.poller_ticks, slow.poller_ticks);
+    EXPECT_GT(fast.cycles_burst, 0u);
+}
+
+TEST(Burst, ZeroCycleLeadFallsBackToStep) {
+    // A lead that keeps the default burst() runs nothing alone: every
+    // cycle is a normal step and the result is still per-cycle exact.
+    const BurstRun slow = run_burst_scenario(false, false, {}, 500, {17});
+    const BurstRun fast = run_burst_scenario(true, false, {}, 500, {17});
+    EXPECT_EQ(fast.log, slow.log);
+    EXPECT_EQ(fast.poller_ticks, slow.poller_ticks);
+    EXPECT_EQ(fast.cycles_burst, 0u);
+    EXPECT_EQ(fast.cycles_skipped, 0u);
 }
 
 // Removes itself — and optionally a victim — from inside tick().
