@@ -33,8 +33,6 @@ public:
     /// monitor never saw pushed.
     void reset() noexcept;
 
-    /// Only calls, returns and traps matter to CFI.
-    [[nodiscard]] bool wants_instructions() const override { return false; }
     void on_call(mem::Addr from, mem::Addr target) override;
     void on_return(mem::Addr from, mem::Addr target) override;
     void on_trap(std::uint32_t cause, mem::Addr pc) override;

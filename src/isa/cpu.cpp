@@ -92,12 +92,10 @@ void Cpu::clear_irq(unsigned line) noexcept {
 void Cpu::add_observer(CpuObserver* observer) {
     if (observer == nullptr) throw IsaError("Cpu::add_observer: null");
     observers_.push_back(observer);
-    if (observer->wants_instructions()) insn_observers_.push_back(observer);
 }
 
 void Cpu::remove_observer(CpuObserver* observer) noexcept {
     std::erase(observers_, observer);
-    std::erase(insn_observers_, observer);
 }
 
 void Cpu::notify_world_switch() {
@@ -303,17 +301,29 @@ void Cpu::skip(sim::Cycle /*now*/, sim::Cycle cycles) {
     }
 }
 
+const Uop* Cpu::burst_uop(const TranslationImage& image) const noexcept {
+    if (irq_deliverable()) return nullptr;
+    if ((pc_ & 3u) != 0 || !image.contains(pc_)) return nullptr;
+    const std::size_t idx = (pc_ - image.base) >> 2;
+    const Uop& u = image.uops[idx];
+    if ((image.translated[idx] & TranslationImage::kTranslated) == 0 ||
+        !burst_safe(u.kind, !observers_.empty())) {
+        return nullptr;
+    }
+    return &u;
+}
+
+bool Cpu::burst_ready(sim::Cycle /*now*/) {
+    return !halted_ && !waiting_ && translation_usable() &&
+           burst_uop(*translation_) != nullptr;
+}
+
 void Cpu::burst(sim::Cycle& now, sim::Cycle horizon) {
     // Each burst cycle is exactly one tick(): a stall cycle, or one
-    // translated retirement through the same path as step(). The state
-    // checked up front cannot change inside a burst, since no
-    // burst-safe op reaches outside the core.
-    if (halted_ || waiting_ || !insn_observers_.empty() ||
-        !translation_usable()) {
-        return;
-    }
+    // translated retirement through the same path as step().
+    // burst_ready() proved the translation usable, and no burst-safe op
+    // changes what that depends on.
     const TranslationImage& image = *translation_;
-    const bool observed = !observers_.empty();
     while (now < horizon) {
         if (stall_ > 0) {
             const std::uint32_t burn = static_cast<std::uint32_t>(
@@ -323,17 +333,14 @@ void Cpu::burst(sim::Cycle& now, sim::Cycle horizon) {
             now += burn;
             continue;
         }
-        if (irq_deliverable()) return;
+        const Uop* next = burst_uop(image);
+        if (next == nullptr) return;
+        const Uop& u = *next;
         const mem::Addr insn_pc = pc_;
-        if ((insn_pc & 3u) != 0 || !image.contains(insn_pc)) return;
         const std::size_t idx = (insn_pc - image.base) >> 2;
-        const std::uint8_t flags = image.translated[idx];
-        const Uop& u = image.uops[idx];
-        if ((flags & TranslationImage::kTranslated) == 0 ||
-            !burst_safe(u.kind, observed)) {
-            return;
+        if ((image.translated[idx] & TranslationImage::kBlockStart) != 0) {
+            elide_live_ = true;
         }
-        if ((flags & TranslationImage::kBlockStart) != 0) elide_live_ = true;
         ++cycles_;
         pc_ = insn_pc + 4;
         exec_one(u, insn_pc);
@@ -371,12 +378,6 @@ bool Cpu::step() {
             // Copied by value: exec_one may store into the code window,
             // firing the write watch that frees this very image.
             const Uop u = translation_->uops[idx];
-            if (!insn_observers_.empty()) {
-                const Instruction insn = decode(u.raw);
-                for (CpuObserver* o : insn_observers_) {
-                    o->on_instruction(insn_pc, insn);
-                }
-            }
             pc_ = insn_pc + 4;
             exec_one(u, insn_pc);
             ++instret_;
@@ -406,11 +407,6 @@ bool Cpu::step() {
         trap(static_cast<std::uint32_t>(TrapCause::kIllegalInstruction), word,
              insn_pc);
         return true;
-    }
-
-    if (!insn_observers_.empty()) {
-        const Instruction insn = decode(word);
-        for (CpuObserver* o : insn_observers_) o->on_instruction(insn_pc, insn);
     }
 
     pc_ = insn_pc + 4;

@@ -3,9 +3,9 @@
 // Models the architectural surface the paper's monitors observe:
 // privilege (machine/user), security state (secure/non-secure world),
 // MPU-checked memory accesses, traps, interrupts, CSRs and cycle
-// accounting. Monitors attach as CpuObservers; they see instruction
-// retirement, calls/returns (for control-flow integrity), traps and
-// world switches.
+// accounting. Monitors attach as CpuObservers; they see calls/returns
+// (for control-flow integrity), traps, halts, CSR writes and world
+// switches.
 //
 // Execution tiers (docs/EXECUTION.md has the full design):
 //   0. Interpreter — fetch through MPU+bus, decode, execute. Always
@@ -42,14 +42,6 @@ class Cpu;
 class CpuObserver {
 public:
     virtual ~CpuObserver() = default;
-    /// Observers that return false are never sent on_instruction, so a
-    /// core whose observers all opt out skips decoding each retired
-    /// word. Read once, when the observer is attached.
-    [[nodiscard]] virtual bool wants_instructions() const { return true; }
-    virtual void on_instruction(mem::Addr pc, const Instruction& insn) {
-        (void)pc;
-        (void)insn;
-    }
     /// A call: jal/jalr writing the link register.
     virtual void on_call(mem::Addr from, mem::Addr target) {
         (void)from;
@@ -100,6 +92,8 @@ public:
     /// burns stall cycles and retires translated ALU, mul and branch
     /// micro-ops (jal/jalr too while no observer is attached), stopping
     /// before any cycle whose tick could reach another component.
+    /// burst_ready() is true when the next retirement is such a micro-op.
+    [[nodiscard]] bool burst_ready(sim::Cycle now) override;
     void burst(sim::Cycle& now, sim::Cycle horizon) override;
 
     /// Executes exactly one instruction (ignoring stall modelling).
@@ -229,6 +223,10 @@ private:
         return (csrs_[kCsrMstatus] & kMstatusMie) != 0 &&
                (csrs_[kCsrMip] & csrs_[kCsrMie]) != 0;
     }
+    /// The micro-op at pc_ in `image` when a burst may retire it next,
+    /// else nullptr (docs/SCHEDULER.md, "What ends a burst").
+    [[nodiscard]] const Uop* burst_uop(
+        const TranslationImage& image) const noexcept;
 
     /// Memory helpers; on fault they trap and return false. `elide`
     /// skips the alignment and MPU checks (proven statically); the bus
@@ -259,7 +257,6 @@ private:
     std::uint32_t stall_ = 0;
 
     std::vector<CpuObserver*> observers_;
-    std::vector<CpuObserver*> insn_observers_;  ///< Want on_instruction.
     EcallHandler ecall_handler_;
 
     // Translation state. The image is shared and immutable; everything

@@ -84,17 +84,18 @@ void Simulator::step() {
 
 void Simulator::run_for(Cycle cycles) { run_until(now_ + cycles); }
 
-Cycle Simulator::earliest_wake(Cycle limit, bool& lead_active) {
+Cycle Simulator::earliest_wake(Cycle limit, bool& lead_bursts) {
     Cycle wake = limit;
-    lead_active = false;
+    lead_bursts = false;
     for (std::size_t i = 0; i < tickables_.size(); ++i) {
-        const Cycle na = tickables_[i]->next_activity(now_);
+        Tickable* t = tickables_[i];
+        const Cycle na = t->next_activity(now_);
         if (na > now_) {
             if (na < wake) wake = na;
-        } else if (i == 0) {
-            lead_active = true;
+        } else if (i == 0 && t->burst_ready(now_)) {
+            lead_bursts = true;
         } else {
-            return now_;  // A component other than the lead is active.
+            return now_;  // Active, and not a lead that can burst.
         }
     }
     return wake;
@@ -116,13 +117,13 @@ void Simulator::run_until(Cycle target) {
         if (!events_.empty() && events_.top().at < limit) {
             limit = events_.top().at;
         }
-        bool lead_active = false;
-        const Cycle wake = earliest_wake(limit, lead_active);
+        bool lead_bursts = false;
+        const Cycle wake = earliest_wake(limit, lead_bursts);
         if (wake <= now_) {
             step();
             continue;
         }
-        if (lead_active) {
+        if (lead_bursts) {
             // Only the lead has work before `wake`: it ticks alone,
             // advancing now_ itself, and every other component replays
             // the burst. Where it stops short, its next cycle may touch

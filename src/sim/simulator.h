@@ -13,8 +13,8 @@
 // skip() the gap. skip() must leave the component bit-identical to
 // having ticked every skipped cycle — the fast path is a scheduling
 // optimisation, never a semantics change. When only the first
-// registered component (the CPU) is active, run_until() instead lets
-// it tick alone via burst() up to the earliest other wake or event, and
+// registered component (the CPU) is active and burst_ready(),
+// run_until() instead lets it tick alone via burst() up to the earliest other wake or event, and
 // then skip()s every other component over the burst.
 #pragma once
 
@@ -74,12 +74,22 @@ public:
         (void)cycles;
     }
 
+    /// Whether the tick at `now` could run inside burst(). Asked only of
+    /// the first registered tickable while it is active, before the
+    /// kernel looks at any other component, so a lead that cannot burst
+    /// costs one call. The default never bursts.
+    [[nodiscard]] virtual bool burst_ready(Cycle now) {
+        (void)now;
+        return false;
+    }
+
     /// Ticks this component alone for consecutive cycles from `now`,
     /// incrementing `now` (the kernel's clock) after each one, and stops
     /// at `horizon` or before any cycle whose tick could touch another
-    /// component. Only called on the first registered tickable, when it
-    /// is active and every other one is quiescent until `horizon`. The
-    /// default ticks nothing, which falls back to a per-cycle step().
+    /// component. Only called on the first registered tickable, right
+    /// after burst_ready(now) returned true, when every other one is
+    /// quiescent until `horizon`. A burst that ticks nothing falls back
+    /// to a per-cycle step().
     virtual void burst(Cycle& now, Cycle horizon) {
         (void)now;
         (void)horizon;
@@ -280,10 +290,10 @@ private:
     void fire_due_events();
     std::uint32_t intern_label(std::string_view label);
     /// Earliest quiescent wake across tickables, capped at `limit`;
-    /// returns now_ when any component other than the first is active
-    /// this cycle. `lead_active` reports whether the first is active;
-    /// its wake is then left out of the result.
-    [[nodiscard]] Cycle earliest_wake(Cycle limit, bool& lead_active);
+    /// returns now_ when any component is active this cycle, except a
+    /// first component that is burst_ready(). `lead_bursts` reports that
+    /// exception; the first component's wake is then left out.
+    [[nodiscard]] Cycle earliest_wake(Cycle limit, bool& lead_bursts);
 
     Cycle now_ = 0;
     std::uint64_t next_seq_ = 0;

@@ -236,6 +236,7 @@ class BurstingLead : public Lead {
 public:
     BurstingLead(TickLog& log, std::set<Cycle> stops)
         : Lead(log), stops_(std::move(stops)) {}
+    bool burst_ready(Cycle now) override { return stops_.count(now) == 0; }
     void burst(Cycle& now, Cycle horizon) override {
         while (now < horizon && stops_.count(now) == 0) tick(now++);
     }
@@ -243,6 +244,15 @@ public:
 private:
     std::set<Cycle> stops_;
 };
+
+// Claims it can burst but keeps the default burst(), which ticks nothing.
+class ZeroCycleLead : public Lead {
+public:
+    using Lead::Lead;
+    bool burst_ready(Cycle) override { return true; }
+};
+
+enum class LeadKind { kPlain, kZeroCycle, kBursting };
 
 class Poller : public Periodic {
 public:
@@ -267,19 +277,22 @@ struct BurstRun {
 
 // Runs a lead plus pollers of periods 7, 13 and 97 for `cycles`, with
 // events (id 9) at `events`, each scheduling another (id 8) 4 cycles on.
-BurstRun run_burst_scenario(bool quiescence, bool bursting,
+BurstRun run_burst_scenario(bool quiescence, LeadKind kind,
                             std::set<Cycle> stops, Cycle cycles,
                             const std::vector<Cycle>& events) {
     BurstRun out;
     Simulator sim;
     sim.set_quiescence(quiescence);
     BurstingLead bursting_lead(out.log, std::move(stops));
+    ZeroCycleLead zero_cycle_lead(out.log);
     Lead plain_lead(out.log);
     Poller p7(out.log, 1, 7);
     Poller p13(out.log, 2, 13);
     Poller p97(out.log, 3, 97);
-    sim.add_tickable(bursting ? static_cast<Tickable*>(&bursting_lead)
-                              : static_cast<Tickable*>(&plain_lead));
+    Tickable* lead = &plain_lead;
+    if (kind == LeadKind::kZeroCycle) lead = &zero_cycle_lead;
+    if (kind == LeadKind::kBursting) lead = &bursting_lead;
+    sim.add_tickable(lead);
     sim.add_tickable(&p7);
     sim.add_tickable(&p13);
     sim.add_tickable(&p97);
@@ -299,8 +312,9 @@ BurstRun run_burst_scenario(bool quiescence, bool bursting,
 }
 
 TEST(Burst, TickLogsMatchPerCycle) {
-    const BurstRun slow = run_burst_scenario(false, true, {}, 1000, {});
-    const BurstRun fast = run_burst_scenario(true, true, {}, 1000, {});
+    constexpr LeadKind kLead = LeadKind::kBursting;
+    const BurstRun slow = run_burst_scenario(false, kLead, {}, 1000, {});
+    const BurstRun fast = run_burst_scenario(true, kLead, {}, 1000, {});
     EXPECT_EQ(fast.log, slow.log);
     EXPECT_EQ(fast.poller_ticks, slow.poller_ticks);
     EXPECT_EQ(slow.cycles_burst, 0u);
@@ -313,8 +327,9 @@ TEST(Burst, EventsAndPollerWakesLandAtExactCycles) {
     // Events mid-horizon (including one 4 cycles after each, scheduled
     // from inside an event) end the burst at their exact cycle.
     const std::vector<Cycle> events = {5, 40, 333, 334, 801};
-    const BurstRun slow = run_burst_scenario(false, true, {}, 1000, events);
-    const BurstRun fast = run_burst_scenario(true, true, {}, 1000, events);
+    constexpr LeadKind kLead = LeadKind::kBursting;
+    const BurstRun slow = run_burst_scenario(false, kLead, {}, 1000, events);
+    const BurstRun fast = run_burst_scenario(true, kLead, {}, 1000, events);
     EXPECT_EQ(fast.log, slow.log);
     EXPECT_EQ(fast.poller_ticks, slow.poller_ticks);
     EXPECT_GT(fast.cycles_burst, 0u);
@@ -333,24 +348,30 @@ TEST(Burst, EventsAndPollerWakesLandAtExactCycles) {
 
 TEST(Burst, LeadStoppingShortStepsThatCycle) {
     // The lead refuses to burst through some cycles (a CPU at a load or
-    // store); the kernel steps those cycles with every component.
+    // store): a burst reaching one stops short, and a cycle starting at
+    // one is not burst_ready(). Either way the kernel steps that cycle
+    // with every component.
     const std::set<Cycle> stops = {0, 1, 2, 50, 51, 52, 53, 400, 999};
-    const BurstRun slow = run_burst_scenario(false, true, stops, 1000, {});
-    const BurstRun fast = run_burst_scenario(true, true, stops, 1000, {});
+    constexpr LeadKind kLead = LeadKind::kBursting;
+    const BurstRun slow = run_burst_scenario(false, kLead, stops, 1000, {});
+    const BurstRun fast = run_burst_scenario(true, kLead, stops, 1000, {});
     EXPECT_EQ(fast.log, slow.log);
     EXPECT_EQ(fast.poller_ticks, slow.poller_ticks);
     EXPECT_GT(fast.cycles_burst, 0u);
 }
 
 TEST(Burst, ZeroCycleLeadFallsBackToStep) {
-    // A lead that keeps the default burst() runs nothing alone: every
-    // cycle is a normal step and the result is still per-cycle exact.
-    const BurstRun slow = run_burst_scenario(false, false, {}, 500, {17});
-    const BurstRun fast = run_burst_scenario(true, false, {}, 500, {17});
-    EXPECT_EQ(fast.log, slow.log);
-    EXPECT_EQ(fast.poller_ticks, slow.poller_ticks);
-    EXPECT_EQ(fast.cycles_burst, 0u);
-    EXPECT_EQ(fast.cycles_skipped, 0u);
+    // A lead that claims burst_ready() but runs nothing alone, and one
+    // that never claims it: every cycle is a normal step and the result
+    // is still per-cycle exact.
+    for (const LeadKind kind : {LeadKind::kZeroCycle, LeadKind::kPlain}) {
+        const BurstRun slow = run_burst_scenario(false, kind, {}, 500, {17});
+        const BurstRun fast = run_burst_scenario(true, kind, {}, 500, {17});
+        EXPECT_EQ(fast.log, slow.log);
+        EXPECT_EQ(fast.poller_ticks, slow.poller_ticks);
+        EXPECT_EQ(fast.cycles_burst, 0u);
+        EXPECT_EQ(fast.cycles_skipped, 0u);
+    }
 }
 
 // Removes itself — and optionally a victim — from inside tick().
