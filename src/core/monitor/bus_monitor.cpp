@@ -28,9 +28,6 @@ void BusMonitor::on_transaction(const mem::BusTransaction& txn) {
     const sim::Cycle now = sim_.now();
     note_poll(now);
 
-    ring_.push_back(txn);
-    if (ring_.size() > kRingSize) ring_.pop_front();
-
     switch (txn.response) {
         case mem::BusResponse::kSecurityViolation:
             emit(now, EventCategory::kBusViolation, EventSeverity::kAlert,

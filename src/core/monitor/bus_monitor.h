@@ -3,8 +3,7 @@
 //    misbehaving master),
 //  - address-space probing (bursts of decode errors),
 //  - masters touching regions outside their provisioned allowlist
-//    (e.g. the DMA engine reading key storage),
-// and keeps a forensic ring buffer of recent transactions.
+//    (e.g. the DMA engine reading key storage).
 #pragma once
 
 #include <deque>
@@ -24,7 +23,7 @@ public:
 
     std::string description() const override {
         return "interconnect transaction screening, master/region access "
-               "policy, probe detection, forensic transaction ring";
+               "policy, probe detection";
     }
 
     /// Restricts a master to the named regions. Unlisted masters are
@@ -37,21 +36,13 @@ public:
 
     void on_transaction(const mem::BusTransaction& txn) override;
 
-    /// Forensic ring buffer (most recent last).
-    [[nodiscard]] const std::deque<mem::BusTransaction>& recent()
-        const noexcept {
-        return ring_;
-    }
-
 private:
     const sim::Simulator& sim_;
     mem::Bus& bus_;
     std::map<mem::Master, std::set<std::string>> allowlist_;
-    std::deque<mem::BusTransaction> ring_;
     std::deque<sim::Cycle> decode_errors_;
     std::uint32_t probe_threshold_ = 8;
     sim::Cycle probe_window_ = 1000;
-    static constexpr std::size_t kRingSize = 64;
 };
 
 }  // namespace cres::core

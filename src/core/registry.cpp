@@ -33,7 +33,7 @@ const std::vector<Capability>& capability_registry() {
 
         // DETECT — continuous monitoring (paper characteristic 2).
         {"detect", "interconnect monitoring",
-         "transaction screening, probe detection, forensic ring",
+         "transaction screening, probe detection",
          "core/monitor (BusMonitor)"},
         {"detect", "static & dynamic flow integrity",
          "shadow call stack + valid-target CFI; byte-granular DIFT",

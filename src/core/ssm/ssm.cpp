@@ -271,7 +271,6 @@ void SystemSecurityManager::tick(sim::Cycle now) {
 
 sim::Cycle SystemSecurityManager::next_activity(sim::Cycle now) {
     if (disabled_) return kIdleForever;
-    if (config_.poll_interval == 0) return now;
     // Empty-queue polls are decision-free and replayed by skip();
     // queued events must be drained at the next poll deadline.
     if (queue_.empty()) return kIdleForever;
@@ -279,7 +278,7 @@ sim::Cycle SystemSecurityManager::next_activity(sim::Cycle now) {
 }
 
 void SystemSecurityManager::skip(sim::Cycle now, sim::Cycle cycles) {
-    if (disabled_ || config_.poll_interval == 0) return;
+    if (disabled_) return;
     const sim::Cycle end = now + cycles;
     // First poll a per-cycle run would have made inside the window.
     // A non-empty queue reports next_poll_ as its wake, so any poll

@@ -107,9 +107,7 @@ void Bus::fire_write_watch(Addr addr, std::uint32_t size) {
 }
 
 void Bus::notify(const BusTransaction& txn) {
-    // Snapshot so observers may detach themselves in the callback.
-    const std::vector<BusObserver*> snapshot = observers_;
-    for (BusObserver* o : snapshot) o->on_transaction(txn);
+    for (BusObserver* o : observers_) o->on_transaction(txn);
 }
 
 BusResponse Bus::access(BusOp op, Addr addr, std::uint32_t size,

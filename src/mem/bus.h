@@ -77,7 +77,8 @@ public:
 };
 
 /// Observer notified of every transaction (after completion). Bus
-/// monitors and DIFT trackers attach here.
+/// monitors and DIFT trackers attach here. on_transaction() must not
+/// attach or detach observers.
 class BusObserver {
 public:
     virtual ~BusObserver() = default;

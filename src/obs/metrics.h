@@ -128,8 +128,8 @@ private:
 /// Named metric store with deterministic (name-ordered) export and
 /// merge. Metric names follow Prometheus conventions and may carry a
 /// label set inline: `cres_monitor_polls_total{monitor="bus-monitor"}`.
-/// Registration is get-or-create, so re-binding a rebuilt component to
-/// the same names continues the existing series.
+/// Registration is get-or-create: components binding the same name
+/// share one series.
 class MetricsRegistry {
 public:
     Counter& counter(const std::string& name) { return counters_[name]; }
@@ -150,7 +150,7 @@ public:
 
     /// Registers the `# HELP` text emitted for `base` (the metric name
     /// without labels) in the Prometheus exposition. First registration
-    /// wins, so re-binding rebuilt components is idempotent.
+    /// wins, so registering the same help twice is idempotent.
     void set_help(std::string_view base, std::string_view text) {
         help_.emplace(std::string(base), std::string(text));
     }

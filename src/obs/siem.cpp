@@ -56,8 +56,8 @@ std::string_view siem_kind_msgid(SiemKind kind) noexcept {
 
 void SiemBuffer::bind_metrics(MetricsRegistry& registry) {
     m_dropped_ = &registry.counter("cres_siem_dropped_total");
-    // Publish drops counted before binding exactly once (re-binding a
-    // rebuilt engine to the same registry must not double-count).
+    // Publish drops counted before binding exactly once (binding the
+    // same registry again must not double-count).
     if (dropped_ > published_) {
         m_dropped_->inc(dropped_ - published_);
         published_ = dropped_;

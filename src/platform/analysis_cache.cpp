@@ -1,7 +1,5 @@
 #include "platform/analysis_cache.h"
 
-#include "platform/translation_cache.h"
-
 namespace cres::platform {
 
 std::shared_ptr<const analysis::Report> AnalysisCache::get_or_analyze(
@@ -28,11 +26,6 @@ std::shared_ptr<const analysis::Report> AnalysisCache::get_or_analyze(
         ++hits_;
     }
     return it->second;
-}
-
-crypto::Hash256 AnalysisCache::key_for(BytesView code, mem::Addr base,
-                                       mem::Addr entry) {
-    return TranslationCache::key_for(code, base, entry);
 }
 
 std::uint64_t AnalysisCache::hits() const {

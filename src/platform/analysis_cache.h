@@ -5,9 +5,9 @@
 // admission policy, exactly like superblock translation — so a fleet
 // estate proves each *distinct* firmware once and shares the resulting
 // Report (findings + ProofAnnotations) read-only across every node
-// that admits the same image. Keys use the same sha256(code ‖ base ‖
-// entry) scheme as TranslationCache; in production the secure-boot
-// measurement digest serves the same role.
+// that admits the same image. Keys are TranslationCache::key_for
+// (sha256(code ‖ base ‖ entry)): both artifacts describe the same
+// immutable firmware content.
 #pragma once
 
 #include <cstdint>
@@ -37,13 +37,6 @@ public:
     std::shared_ptr<const analysis::Report> get_or_analyze(
         const crypto::Hash256& key, BytesView code, mem::Addr base,
         mem::Addr entry);
-
-    /// Content key: identical scheme (and therefore identical keys) to
-    /// TranslationCache::key_for — both artifacts describe the same
-    /// immutable firmware content.
-    [[nodiscard]] static crypto::Hash256 key_for(BytesView code,
-                                                 mem::Addr base,
-                                                 mem::Addr entry);
 
     /// The policy every cached report was produced under. Consumers
     /// with a different admission policy must not reuse these reports

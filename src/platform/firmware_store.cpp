@@ -16,18 +16,6 @@ std::shared_ptr<const Bytes> FirmwareStore::get_or_add(
     return image;
 }
 
-crypto::Hash256 FirmwareStore::key_for(BytesView code, mem::Addr origin) {
-    crypto::Sha256 h;
-    h.update(code);
-    Bytes tail(4);
-    for (int i = 0; i < 4; ++i) {
-        tail[static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(origin >> (8 * i));
-    }
-    h.update(tail);
-    return h.finish();
-}
-
 std::uint64_t FirmwareStore::hits() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     return hits_;

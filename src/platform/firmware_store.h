@@ -21,24 +21,18 @@
 #include <mutex>
 
 #include "crypto/sha256.h"
-#include "mem/bus.h"
 #include "util/bytes.h"
 
 namespace cres::platform {
 
 class FirmwareStore {
 public:
-    /// Returns the canonical shared copy of `code` for `key`, adding it
-    /// on the first request. Thread-safe: fleet workers enrol and
-    /// reboot nodes concurrently.
+    /// Returns the canonical shared copy of `code` for `key` (the
+    /// TranslationCache::key_for content key), adding it on the first
+    /// request. Thread-safe: fleet workers enrol and reboot nodes
+    /// concurrently.
     std::shared_ptr<const Bytes> get_or_add(const crypto::Hash256& key,
                                             BytesView code);
-
-    /// Content key for images outside the secure-boot chain (debug
-    /// loads): hash over the code bytes and their load address — the
-    /// full identity of "these bytes at this place".
-    [[nodiscard]] static crypto::Hash256 key_for(BytesView code,
-                                                 mem::Addr origin);
 
     [[nodiscard]] std::uint64_t hits() const;
     [[nodiscard]] std::uint64_t misses() const;

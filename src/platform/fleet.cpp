@@ -11,6 +11,9 @@ namespace cres::platform {
 
 namespace {
 
+/// Fleet-level flight-recorder slots (campaign black box).
+constexpr std::size_t kFleetRecorderCapacity = 1024;
+
 crypto::Hash256 fleet_vendor_seed(std::uint64_t seed) {
     Bytes s(9, 0xf1);
     for (int i = 0; i < 8; ++i) {
@@ -54,7 +57,7 @@ Fleet::Fleet(FleetConfig config)
       vendor_key_(fleet_vendor_seed(cfg_.seed), 6),
       pool_(cfg_.worker_threads),
       siem_key_(fleet_siem_key(cfg_.seed)),
-      fleet_recorder_(cfg_.fleet_recorder_capacity),
+      fleet_recorder_(kFleetRecorderCapacity),
       siem_stream_(std::make_unique<obs::SiemStream>(siem_key_)),
       monitor_(std::make_unique<FleetMonitor>(campaign_config(cfg_),
                                               fleet_metrics_,

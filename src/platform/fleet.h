@@ -67,9 +67,6 @@ struct FleetConfig {
     /// device_count field is ignored — the fleet fills it in.
     FleetMonitorConfig campaign;
 
-    /// Fleet-level flight-recorder slots (campaign black box).
-    std::size_t fleet_recorder_capacity = 1024;
-
     /// Worker threads for fleet phases (enrolment, run, sweeps, health
     /// collection). 0 = hardware concurrency; 1 = serial. Any value
     /// produces bit-identical verdicts, health summaries and evidence

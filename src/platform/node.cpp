@@ -82,7 +82,6 @@ Node::Node(NodeConfig config)
             [this](bool on) { telemetry_enabled_ = on; });
         degradation->register_service("control-loop", /*critical=*/true,
                                       [](bool) {});
-        build_security_engine(to_bytes("factory-default-seal-key"));
     }
 }
 
@@ -190,13 +189,6 @@ rule env-glitch:    category=environment severity>=alert -> alert-operator
 }
 
 void Node::build_security_engine(Bytes seal_key) {
-    // Detach previous tickable monitors (no-ops on first build).
-    if (ssm) sim.remove_tickable(ssm.get());
-    if (peripheral_monitor) sim.remove_tickable(peripheral_monitor.get());
-    if (timing_monitor) sim.remove_tickable(timing_monitor.get());
-    if (environment_monitor) sim.remove_tickable(environment_monitor.get());
-    if (config_monitor) sim.remove_tickable(config_monitor.get());
-
     core::SsmConfig ssm_config;
     ssm_config.physically_isolated = cfg.ssm_isolated;
     ssm_config.poll_interval = cfg.ssm_poll_interval;
@@ -217,15 +209,14 @@ void Node::build_security_engine(Bytes seal_key) {
         50);
     config_monitor =
         std::make_unique<core::ConfigMonitor>(*ssm, sim, bus, 200);
-    if (cfg.lockstep && shadow_cpu) {
-        if (redundancy_monitor) sim.remove_tickable(redundancy_monitor.get());
+    if (cfg.lockstep) {
         redundancy_monitor = std::make_unique<core::RedundancyMonitor>(
             *ssm, sim, cpu, *shadow_cpu, 64);
         sim.add_tickable(redundancy_monitor.get());
     }
 
     recovery->set_post_restore([this] {
-        if (cfi_monitor) cfi_monitor->reset();
+        cfi_monitor->reset();
         resync_shadow();
         // Checkpoint restore rewrites RAM off-bus (no write watch
         // fires): rebuild the translation against the restored bytes.
@@ -266,8 +257,6 @@ void Node::build_security_engine(Bytes seal_key) {
     ssm->bind_siem(siem);
 
     if (cfg.metrics) {
-        // Get-or-create registration: a rebuilt engine (re-keyed at
-        // provision time) continues the existing metric series.
         siem.bind_metrics(metrics);
         ssm->bind_metrics(metrics);
         bus_monitor->bind_metrics(metrics);
@@ -309,6 +298,7 @@ void Node::build_security_engine(Bytes seal_key) {
 
 void Node::provision(const crypto::MerklePublicKey& vendor_pk,
                      BytesView device_root) {
+    if (rom) throw PlatformError("Node: provision() called twice");
     const Bytes attest_key =
         crypto::hkdf(device_root, to_bytes(cfg.name), "attestation", 32);
     const Bytes channel_key =
@@ -329,7 +319,6 @@ void Node::provision(const crypto::MerklePublicKey& vendor_pk,
     if (cfg.causal_tracing) channel->enable_tracing(cfg.device_index);
 
     rom = std::make_unique<boot::BootRom>(vendor_pk, counters);
-    rom->set_strict_rollback(cfg.strict_rollback);
     update_agent = std::make_unique<boot::UpdateAgent>(vendor_pk, counters);
     update_agent->set_reject_observer([this](boot::UpdateStatus status,
                                              const std::string& name,
@@ -424,9 +413,9 @@ void Node::provision(const crypto::MerklePublicKey& vendor_pk,
                             .inc();
                     }
                     return cfg.analysis_cache->get_or_analyze(
-                        AnalysisCache::key_for(image.payload,
-                                               image.load_addr,
-                                               image.entry_point),
+                        TranslationCache::key_for(image.payload,
+                                                  image.load_addr,
+                                                  image.entry_point),
                         image.payload, image.load_addr, image.entry_point);
                 });
         }
@@ -434,8 +423,8 @@ void Node::provision(const crypto::MerklePublicKey& vendor_pk,
         update_agent->set_admission_gate(admission_gate.get());
     }
 
-    // Re-key the security engine with the derived evidence key (the SSM
-    // has no meaningful history at provision time).
+    // Built once, here, so the evidence log is sealed under the derived
+    // key from its first record.
     if (cfg.resilient) build_security_engine(seal_key);
 }
 
@@ -483,7 +472,8 @@ void Node::install_program_image(const isa::Program& program) {
         // immutable copy; writes promote pages to private copies.
         app_ram.set_backing(
             cfg.firmware_store->get_or_add(
-                FirmwareStore::key_for(program.code, program.origin),
+                TranslationCache::key_for(program.code, program.origin,
+                                          program.origin),
                 program.code),
             offset);
         return;
@@ -496,16 +486,13 @@ void Node::refresh_translation() {
     if (shadow_cpu) shadow_cpu->clear_translation();
     if (!cfg.translate || translation_vetoed_) return;
 
-    // Identify the source of the code currently in memory. Debug loads
-    // key by content hash; secure-booted images key by their measured
-    // digest, so fleet nodes running the same firmware share one entry.
+    // Identify the source of the code currently in memory: the
+    // debug-loaded program, or the boot-chain image holding the entry.
     BytesView code;
     mem::Addr base = 0;
-    crypto::Hash256 key{};
     if (loaded_program_.has_value() && entry_ == loaded_program_->origin) {
         code = loaded_program_->code;
         base = loaded_program_->origin;
-        key = TranslationCache::key_for(code, base, entry_);
     } else {
         const boot::FirmwareImage* match = nullptr;
         for (const auto& image : boot_chain_) {
@@ -517,7 +504,6 @@ void Node::refresh_translation() {
         if (match == nullptr) return;
         code = match->payload;
         base = match->load_addr;
-        key = match->digest();
     }
     if (code.empty() || base < kAppRamBase) return;
 
@@ -528,6 +514,10 @@ void Node::refresh_translation() {
     if (!app_ram.matches(static_cast<mem::Addr>(base - kAppRamBase), code)) {
         return;
     }
+
+    // One content key for both fleet caches: nodes running the same
+    // firmware share one entry however it was loaded.
+    const crypto::Hash256 key = TranslationCache::key_for(code, base, entry_);
 
     // Reuse the fleet-cached proof artifact when one is available so
     // the translator does not re-run the abstract interpreter. The
@@ -540,8 +530,8 @@ void Node::refresh_translation() {
     const analysis::ProofAnnotations* proofs = nullptr;
     if (cfg.analysis_cache &&
         cfg.analysis_cache->policy() == cfg.admission_policy) {
-        cached_report = cfg.analysis_cache->get_or_analyze(
-            AnalysisCache::key_for(code, base, entry_), code, base, entry_);
+        cached_report =
+            cfg.analysis_cache->get_or_analyze(key, code, base, entry_);
         if (cached_report && cached_report->proofs)
             proofs = cached_report->proofs.get();
     }
@@ -651,6 +641,7 @@ void Node::take_checkpoint() {
 
 void Node::arm_resilience(const isa::Program& program) {
     if (!cfg.resilient) return;
+    if (!ssm) throw PlatformError("Node: provision() before arm_resilience()");
 
     // CFI: every symbol is a legal call target; nothing else is.
     std::set<mem::Addr> targets;

@@ -73,7 +73,6 @@ struct NodeConfig {
     bool resilient = false;
     bool ssm_isolated = true;      ///< E9 ablation knob.
     bool lockstep = false;         ///< Shadow core + RedundancyMonitor.
-    bool strict_rollback = true;   ///< E7/E10 vulnerable-boot knob.
     sim::Cycle ssm_poll_interval = 10;
     sim::Cycle reboot_downtime = 5000;  ///< Cycles a reboot costs.
     bool metrics = true;  ///< Bind the observability registry (false =
@@ -154,7 +153,9 @@ public:
 
     // --- Lifecycle --------------------------------------------------------
     /// Factory provisioning: vendor public key, device root secret
-    /// (keys derive from it), TEE attestation key.
+    /// (keys derive from it), TEE attestation key. On a resilient node
+    /// this also builds the security engine, under the derived
+    /// evidence-seal key. Call once.
     void provision(const crypto::MerklePublicKey& vendor_pk,
                    BytesView device_root);
 
@@ -178,8 +179,9 @@ public:
 
     // --- Resilience wiring (only present when config.resilient) ----------
     /// Installs the default policy (or config.policy_dsl) and golden
-    /// references (bus config, CFI targets); call after secure_boot /
-    /// load_and_start.
+    /// references (bus config, CFI targets); call after provision and
+    /// secure_boot / load_and_start. Throws PlatformError on a resilient
+    /// node that has not been provisioned.
     void arm_resilience(const isa::Program& program);
 
     /// Takes a known-good checkpoint now.
@@ -221,9 +223,9 @@ public:
     NodeConfig cfg;
     sim::Simulator sim;
     sim::TraceStream trace;  ///< Volatile telemetry (passive platforms).
-    /// Cycle-accurate metrics; security components bind when
-    /// cfg.metrics and cfg.resilient (build_security_engine time); the
-    /// trace stream's growth gauges bind whenever cfg.metrics.
+    /// Cycle-accurate metrics; security components bind at provision
+    /// when cfg.metrics and cfg.resilient; the trace stream's growth
+    /// gauges bind whenever cfg.metrics.
     obs::MetricsRegistry metrics;
     /// Always-on black box (bounded ring; capacity from config, 0 =
     /// disabled). Monitors and the SSM bind to it on resilient nodes;
@@ -268,6 +270,8 @@ public:
     void resync_shadow();
 
     // --- Resilience stack (null on the passive baseline) -------------------
+    // Recovery and degradation exist from construction; the SSM, the
+    // monitors and the response manager from provision().
     std::unique_ptr<core::SystemSecurityManager> ssm;
     std::unique_ptr<core::BusMonitor> bus_monitor;
     std::unique_ptr<core::CfiMonitor> cfi_monitor;
@@ -293,9 +297,9 @@ private:
     /// shared firmware store as a copy-on-write backing when one is
     /// configured, else as a private copy.
     void install_program_image(const isa::Program& program);
-    /// (Re)builds SSM + monitors + response manager with the given
-    /// evidence-sealing key. Called at construction (placeholder key)
-    /// and again at provision time (HKDF-derived key).
+    /// Builds SSM + monitors + response manager, sealing evidence under
+    /// `seal_key`, and binds them to the metrics, recorder and SIEM
+    /// buffer. Called once, at the end of provision().
     void build_security_engine(Bytes seal_key);
 
     NodeStats stats_;

@@ -1,10 +1,10 @@
 // Firmware-keyed translation cache.
 //
-// Fleet nodes running the same measured firmware image share one
-// immutable TranslationImage: the key is the image's measurement (the
-// secure-boot digest, or a content hash for debug-loaded programs), and
-// translation itself is a pure function of the bytes, so whichever
-// node builds first the result is identical. Only the read-only
+// Fleet nodes running the same firmware image share one immutable
+// TranslationImage: the key is a content hash of the code and its
+// placement (key_for), and translation itself is a pure function of
+// those inputs, so whichever node builds first the result is
+// identical. Only the read-only
 // translation is shared — every core keeps its own execution state —
 // which preserves the fleet's bit-identical-at-any-thread-count
 // guarantee while amortising translation cost across the population.
@@ -36,9 +36,9 @@ public:
         const crypto::Hash256& key, BytesView code, mem::Addr base,
         mem::Addr entry, const analysis::ProofAnnotations* proofs = nullptr);
 
-    /// Content key for images outside the secure-boot chain (debug
-    /// loads): hash over code bytes, load address and entry point —
-    /// the full input domain of the translator.
+    /// Content key: hash over code bytes, load address and entry point —
+    /// the full input domain of the translator. Node keys all three
+    /// firmware caches (this one, AnalysisCache, FirmwareStore) with it.
     [[nodiscard]] static crypto::Hash256 key_for(BytesView code,
                                                  mem::Addr base,
                                                  mem::Addr entry);

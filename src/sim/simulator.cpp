@@ -12,17 +12,6 @@ void Simulator::add_tickable(Tickable* component) {
 }
 
 void Simulator::remove_tickable(Tickable* component) noexcept {
-    if (ticking_) {
-        // Mid-cycle removal: null the slot so the component receives no
-        // further ticks (this cycle included); compact after the cycle.
-        for (Tickable*& slot : tickables_) {
-            if (slot == component) {
-                slot = nullptr;
-                compact_pending_ = true;
-            }
-        }
-        return;
-    }
     std::erase(tickables_, component);
 }
 
@@ -65,20 +54,10 @@ void Simulator::fire_due_events() {
 
 void Simulator::step() {
     fire_due_events();
-    // A tick may register/unregister components. Additions land beyond
-    // the captured bound and tick from the next cycle; removals null
-    // their slot immediately (see remove_tickable).
+    // A tick may register components: they land beyond the captured
+    // bound and tick from the next cycle.
     const std::size_t bound = tickables_.size();
-    ticking_ = true;
-    for (std::size_t i = 0; i < bound; ++i) {
-        Tickable* t = tickables_[i];
-        if (t != nullptr) t->tick(now_);
-    }
-    ticking_ = false;
-    if (compact_pending_) {
-        std::erase(tickables_, static_cast<Tickable*>(nullptr));
-        compact_pending_ = false;
-    }
+    for (std::size_t i = 0; i < bound; ++i) tickables_[i]->tick(now_);
     ++now_;
 }
 

@@ -207,10 +207,8 @@ public:
     /// Registration during a tick takes effect next cycle.
     void add_tickable(Tickable* component);
 
-    /// Removes a previously registered component. Safe to call from
-    /// inside tick(): the slot is nulled immediately (the component
-    /// receives no further ticks, including later in the same cycle)
-    /// and compacted after the cycle completes.
+    /// Removes a previously registered component. Must not be called
+    /// from inside tick().
     void remove_tickable(Tickable* component) noexcept;
 
     /// Schedules `action` to run at absolute cycle `at` (>= now).
@@ -301,8 +299,6 @@ private:
     std::uint64_t cycles_skipped_ = 0;
     std::uint64_t cycles_burst_ = 0;
     bool quiescence_ = true;
-    bool ticking_ = false;
-    bool compact_pending_ = false;
     std::priority_queue<Event, std::vector<Event>, EventLater> events_;
     std::vector<Tickable*> tickables_;
     std::vector<std::string> labels_;

@@ -1,18 +1,14 @@
 #include "sim/trace.h"
 
-#include "util/serial.h"
-
 namespace cres::sim {
 
 void TraceStream::emit(TraceRecord record) {
-    ++kind_counts_[record.kind];
     records_.push_back(std::move(record));
     note_emit(records_.back());
 }
 
 void TraceStream::emit(Cycle at, std::string source, std::string kind,
                        std::string detail, std::uint64_t a, std::uint64_t b) {
-    ++kind_counts_[kind];
     records_.push_back(TraceRecord{at, std::move(source), std::move(kind),
                                    std::move(detail), a, b});
     note_emit(records_.back());
@@ -22,38 +18,6 @@ void TraceStream::bind_metrics(obs::MetricsRegistry& registry) {
     m_records_ = &registry.gauge("cres_trace_records");
     m_bytes_ = &registry.gauge("cres_trace_bytes_approx");
     update_gauges();  // A stream bound late reports its backlog at once.
-}
-
-std::vector<TraceRecord> TraceStream::since(Cycle cycle) const {
-    std::vector<TraceRecord> out;
-    for (const auto& r : records_) {
-        if (r.at >= cycle) out.push_back(r);
-    }
-    return out;
-}
-
-std::vector<TraceRecord> TraceStream::of_kind(const std::string& kind) const {
-    std::vector<TraceRecord> out;
-    for (const auto& r : records_) {
-        if (r.kind == kind) out.push_back(r);
-    }
-    return out;
-}
-
-std::size_t TraceStream::count_kind(const std::string& kind) const noexcept {
-    const auto it = kind_counts_.find(kind);
-    return it == kind_counts_.end() ? 0 : it->second;
-}
-
-Bytes TraceStream::encode(const TraceRecord& record) {
-    BinaryWriter w;
-    w.u64(record.at);
-    w.str(record.source);
-    w.str(record.kind);
-    w.str(record.detail);
-    w.u64(record.a);
-    w.u64(record.b);
-    return w.take();
 }
 
 }  // namespace cres::sim

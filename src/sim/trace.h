@@ -5,13 +5,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "sim/simulator.h"
-#include "util/bytes.h"
 
 namespace cres::sim {
 
@@ -26,7 +24,7 @@ struct TraceRecord {
     std::uint64_t b = 0;
 };
 
-/// Append-only record stream with simple query helpers.
+/// Append-only record stream.
 class TraceStream {
 public:
     void emit(TraceRecord record);
@@ -52,51 +50,13 @@ public:
     /// Unbound streams (the default) pay one null check per emit.
     void bind_metrics(obs::MetricsRegistry& registry);
 
-    /// Records with at >= cycle. Copies; prefer for_each_since on hot
-    /// or large streams.
-    [[nodiscard]] std::vector<TraceRecord> since(Cycle cycle) const;
-
-    /// Records whose kind matches. Copies; prefer for_each_of_kind on
-    /// hot or large streams.
-    [[nodiscard]] std::vector<TraceRecord> of_kind(const std::string& kind) const;
-
-    /// Non-copying queries: visit matching records in emission order.
-    template <typename Fn>
-    void for_each_since(Cycle cycle, Fn&& fn) const {
-        for (const auto& r : records_) {
-            if (r.at >= cycle) fn(r);
-        }
-    }
-    template <typename Fn>
-    void for_each_of_kind(const std::string& kind, Fn&& fn) const {
-        for (const auto& r : records_) {
-            if (r.kind == kind) fn(r);
-        }
-    }
-
-    /// Number of records of the given kind — O(log #kinds) via the
-    /// per-kind count index maintained on emit, not an O(n) scan.
-    [[nodiscard]] std::size_t count_kind(const std::string& kind) const noexcept;
-
-    /// Distinct kinds seen so far with their counts (name-ordered).
-    [[nodiscard]] const std::map<std::string, std::size_t>& kind_counts()
-        const noexcept {
-        return kind_counts_;
-    }
-
     /// Drops all records (models a reboot wiping volatile telemetry —
     /// the failure mode the paper attributes to passive architectures).
     void clear() noexcept {
         records_.clear();
-        kind_counts_.clear();
         bytes_approx_ = 0;
         update_gauges();
     }
-
-    /// Serializes one record for hashing into the evidence chain.
-    /// Byte-identical to the historical encoding: the count index is
-    /// query-side state and never enters the hash.
-    static Bytes encode(const TraceRecord& record);
 
 private:
     void note_emit(const TraceRecord& record) noexcept {
@@ -111,7 +71,6 @@ private:
     }
 
     std::vector<TraceRecord> records_;
-    std::map<std::string, std::size_t> kind_counts_;  ///< emit-maintained.
     std::uint64_t bytes_approx_ = 0;
     obs::Gauge* m_records_ = nullptr;  ///< Null until bind_metrics.
     obs::Gauge* m_bytes_ = nullptr;

@@ -717,8 +717,8 @@ TEST(AnalysisGate, MismatchedCachePolicyFallsBackToLocalAnalysis) {
     auto cache = std::make_shared<platform::AnalysisCache>();
     // Warm the cache with the default-policy verdict (no findings).
     const auto warmed = cache->get_or_analyze(
-        platform::AnalysisCache::key_for(image.payload, image.load_addr,
-                                         image.entry_point),
+        platform::TranslationCache::key_for(image.payload, image.load_addr,
+                                            image.entry_point),
         image.payload, image.load_addr, image.entry_point);
     ASSERT_NE(warmed, nullptr);
     EXPECT_EQ(warmed->errors(), 0u);

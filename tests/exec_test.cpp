@@ -363,6 +363,11 @@ TEST(ExecLockstep, ControlLoopNodesStayIdentical) {
 
     platform::Node a(a_cfg);
     platform::Node b(b_cfg);
+    crypto::Hash256 seed{};
+    seed.fill(5);
+    const crypto::MerkleSigner vendor(seed, 2);
+    a.provision(vendor.public_key(), to_bytes("root"));
+    b.provision(vendor.public_key(), to_bytes("root"));
     const isa::Program program = platform::control_loop_program();
     a.load_and_start(program);
     b.load_and_start(program);

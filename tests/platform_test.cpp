@@ -24,6 +24,41 @@ ScenarioConfig make_config(bool resilient) {
     return config;
 }
 
+TEST(NodeProvision, BuildsSecurityEngineOnceUnderDerivedSealKey) {
+    NodeConfig config;
+    config.name = "prov0";
+    config.resilient = true;
+    Node node(config);
+    const isa::Program program = control_loop_program();
+    EXPECT_EQ(node.ssm, nullptr);
+    EXPECT_THROW(node.arm_resilience(program), PlatformError);
+
+    crypto::Hash256 seed{};
+    seed.fill(11);
+    const crypto::MerkleSigner vendor(seed, 2);
+    const Bytes root = to_bytes("device-root-prov0");
+    node.provision(vendor.public_key(), root);
+    ASSERT_NE(node.ssm, nullptr);
+    EXPECT_THROW(node.provision(vendor.public_key(), root), PlatformError);
+
+    // The evidence log starts under the derived key: one genesis record.
+    const Bytes seal_key =
+        crypto::hkdf(root, to_bytes(config.name), "evidence-seal", 32);
+    const core::EvidenceLog& evidence = node.ssm->evidence();
+    EXPECT_EQ(evidence.size(), 1u);
+    EXPECT_TRUE(evidence.verify_chain());
+    EXPECT_TRUE(core::EvidenceLog::verify_seal(evidence, evidence.seal(),
+                                               seal_key));
+    EXPECT_TRUE(core::SystemSecurityManager::verify_health_report(
+        node.ssm->health_report(), seal_key));
+
+    node.load_and_start(program);
+    node.arm_resilience(program);
+    node.run(20000);
+    EXPECT_GT(node.stats().control_iterations, 0u);
+    EXPECT_EQ(node.ssm->health(), core::HealthState::kHealthy);
+}
+
 TEST(CleanRun, ResilientServicesRunWithoutFalsePositives) {
     Scenario scenario(make_config(true));
     const ScenarioResult r = scenario.run(nullptr);

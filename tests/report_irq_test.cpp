@@ -47,6 +47,10 @@ TEST(IrqWorkload, ResilientStackCoversIrqVariant) {
     config.name = "irq-node";
     config.resilient = true;
     platform::Node node(config);
+    crypto::Hash256 seed{};
+    seed.fill(6);
+    const crypto::MerkleSigner vendor(seed, 2);
+    node.provision(vendor.public_key(), to_bytes("root"));
     const isa::Program p = platform::interrupt_control_loop_program();
     node.load_and_start(p);
     node.arm_resilience(p);

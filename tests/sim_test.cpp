@@ -374,49 +374,6 @@ TEST(Burst, ZeroCycleLeadFallsBackToStep) {
     }
 }
 
-// Removes itself — and optionally a victim — from inside tick().
-class RemoveDuringTick : public Tickable {
-public:
-    RemoveDuringTick(Simulator& sim, Tickable* victim)
-        : sim_(sim), victim_(victim) {}
-    void tick(Cycle) override {
-        ++ticks;
-        sim_.remove_tickable(this);
-        if (victim_ != nullptr) sim_.remove_tickable(victim_);
-    }
-    int ticks = 0;
-
-private:
-    Simulator& sim_;
-    Tickable* victim_;
-};
-
-TEST(Simulator, RemoveSelfDuringTickIsSafe) {
-    Simulator sim;
-    Counter before;
-    RemoveDuringTick remover(sim, nullptr);
-    Counter after;
-    sim.add_tickable(&before);
-    sim.add_tickable(&remover);
-    sim.add_tickable(&after);
-    sim.run_for(3);
-    EXPECT_EQ(remover.ticks, 1);
-    EXPECT_EQ(before.ticks, 3);
-    EXPECT_EQ(after.ticks, 3);
-}
-
-TEST(Simulator, RemoveLaterComponentDuringTickSkipsItThatCycle) {
-    Simulator sim;
-    Counter victim;
-    RemoveDuringTick remover(sim, &victim);
-    sim.add_tickable(&remover);
-    sim.add_tickable(&victim);  // Registered after the remover.
-    sim.run_for(5);
-    // Removal takes effect immediately: the victim never ticks.
-    EXPECT_EQ(remover.ticks, 1);
-    EXPECT_EQ(victim.ticks, 0);
-}
-
 TEST(Simulator, AddDuringTickStartsNextCycle) {
     class Adder : public Tickable {
     public:
@@ -488,10 +445,12 @@ TEST(Trace, EmitAndQuery) {
     trace.emit(2, "bus0", "write", "", 0x200, 42);
     trace.emit(3, "cpu", "trap", "mpu-fault", 0x104, 0);
 
-    EXPECT_EQ(trace.size(), 3u);
-    EXPECT_EQ(trace.count_kind("trap"), 2u);
-    EXPECT_EQ(trace.of_kind("write").size(), 1u);
-    EXPECT_EQ(trace.since(2).size(), 2u);
+    ASSERT_EQ(trace.size(), 3u);
+    const auto& records = trace.records();
+    EXPECT_EQ(records[0].kind, "trap");
+    EXPECT_EQ(records[1].source, "bus0");
+    EXPECT_EQ(records[1].b, 42u);
+    EXPECT_EQ(records[2].detail, "mpu-fault");
 }
 
 TEST(Trace, ClearModelsVolatileLoss) {
@@ -499,47 +458,7 @@ TEST(Trace, ClearModelsVolatileLoss) {
     trace.emit(1, "cpu", "x");
     trace.clear();
     EXPECT_TRUE(trace.empty());
-    EXPECT_EQ(trace.count_kind("x"), 0u);  // Index dies with the records.
-}
-
-TEST(Trace, KindCountIndexMatchesLinearScan) {
-    TraceStream trace;
-    for (std::uint64_t i = 0; i < 500; ++i) {
-        trace.emit(i, "cpu", i % 3 == 0 ? "trap" : "op");
-    }
-    std::size_t traps = 0;
-    for (const auto& r : trace.records()) {
-        if (r.kind == "trap") ++traps;
-    }
-    EXPECT_EQ(trace.count_kind("trap"), traps);
-    EXPECT_EQ(trace.count_kind("op"), 500u - traps);
-    EXPECT_EQ(trace.count_kind("never"), 0u);
-    EXPECT_EQ(trace.kind_counts().size(), 2u);
-}
-
-TEST(Trace, NonCopyingVisitorsSeeTheSameRecords) {
-    TraceStream trace;
-    trace.emit(1, "cpu", "trap", "bus-fault", 0x100, 0);
-    trace.emit(2, "bus0", "write", "", 0x200, 42);
-    trace.emit(3, "cpu", "trap", "mpu-fault", 0x104, 0);
-
-    std::vector<Cycle> trap_ats;
-    trace.for_each_of_kind("trap", [&](const TraceRecord& r) {
-        trap_ats.push_back(r.at);
-    });
-    EXPECT_EQ(trap_ats, (std::vector<Cycle>{1, 3}));
-
-    std::size_t late = 0;
-    trace.for_each_since(2, [&](const TraceRecord&) { ++late; });
-    EXPECT_EQ(late, trace.since(2).size());
-}
-
-TEST(Trace, EncodeIsDeterministic) {
-    TraceRecord r{5, "src", "kind", "detail", 1, 2};
-    EXPECT_EQ(TraceStream::encode(r), TraceStream::encode(r));
-    TraceRecord r2 = r;
-    r2.a = 9;
-    EXPECT_NE(TraceStream::encode(r), TraceStream::encode(r2));
+    EXPECT_EQ(trace.bytes_approx(), 0u);
 }
 
 }  // namespace
