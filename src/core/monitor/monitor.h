@@ -76,7 +76,7 @@ protected:
     /// whose first pass happens late cannot smear a bogus 0..first-poll
     /// "gap" into cres_monitor_poll_gap_cycles. Pinned bucket-by-bucket
     /// by Monitor.FirstPollContributesNoGapSample in tests/obs_test.cpp.
-    void note_poll(sim::Cycle now) noexcept {
+    void note_poll(sim::Cycle now) {
         if (polls_ == nullptr || !enabled_) return;
         polls_->inc();
         if (last_poll_at_ != kNoPoll) {
@@ -89,7 +89,7 @@ protected:
     /// replays `count` consecutive per-cycle polls at cycles
     /// first .. first+count-1 with bit-identical metric effects — one
     /// entry gap against the previous poll, then count-1 unit gaps.
-    void note_polls(sim::Cycle first, sim::Cycle count) noexcept {
+    void note_polls(sim::Cycle first, sim::Cycle count) {
         if (count == 0 || polls_ == nullptr || !enabled_) return;
         polls_->inc(count);
         if (last_poll_at_ != kNoPoll) {

@@ -1,8 +1,21 @@
 #include "obs/flight_recorder.h"
 
+#include <algorithm>
+
 namespace cres::obs {
 
-FlightRecorder::FlightRecorder(std::size_t capacity) : ring_(capacity) {}
+bool FlightRecorder::make_room() {
+    if (ring_.size() == capacity_) {
+        if (capacity_ == 0) return false;
+        head_ = 0;
+        return true;
+    }
+    const std::size_t grown =
+        std::min(capacity_, std::max<std::size_t>(1, 2 * ring_.size()));
+    ring_.reserve(grown);  // Exactly `grown` slots: one allocation a step.
+    ring_.resize(grown);
+    return true;
+}
 
 std::uint16_t FlightRecorder::intern(std::string_view name) {
     const auto it = ids_.find(name);
@@ -22,7 +35,7 @@ void FlightRecorder::record_slow(std::uint64_t at, std::string_view source,
                                  std::string_view kind, std::uint8_t severity,
                                  FlightRecordType type, std::uint64_t a,
                                  std::uint64_t b, std::string_view detail) {
-    if (ring_.empty()) return;
+    if (capacity_ == 0) return;
     record(at, intern(source), intern(kind), severity, type, a, b, detail);
 }
 

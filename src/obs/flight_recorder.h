@@ -1,16 +1,20 @@
-// Flight recorder: a fixed-capacity, zero-alloc-at-steady-state ring
-// of cycle-stamped telemetry records — the black box every device's
-// monitors and SSM feed continuously. When an incident closes, the SSM
-// snapshots the ring into a sealed postmortem bundle (postmortem.h) so
-// the pre/post-incident telemetry window survives as a verifiable
-// artefact even though the ring itself keeps rolling.
+// Flight recorder: a bounded ring of cycle-stamped telemetry records —
+// the black box every device's monitors and SSM feed continuously.
+// When an incident closes, the SSM snapshots the ring into a sealed
+// postmortem bundle (postmortem.h) so the pre/post-incident telemetry
+// window survives as a verifiable artefact even though the ring itself
+// keeps rolling.
 //
 // Hot-path contract (mirrors MetricsRegistry): intern() is the cold
-// path and may allocate; record() never allocates — producers hold the
-// recorder pointer plus pre-interned ids, and an unbound producer
-// (null pointer) pays one branch. Capacity is fixed at construction;
-// once full, each record evicts the oldest (bounded black-box capture,
-// unlike the unbounded sim::TraceStream).
+// path and may allocate; record() allocates only while the ring grows
+// — producers hold the recorder pointer plus pre-interned ids, and an
+// unbound producer (null pointer) pays one branch. The capacity fixed
+// at construction is a maximum: the slot vector starts empty and
+// doubles as records arrive, never past the capacity, so a recorder
+// allocates at most ceil(log2 capacity) + 1 times and its memory
+// follows the records it holds. Once the ring reaches the capacity,
+// each record evicts the oldest (bounded black-box capture, unlike the
+// unbounded sim::TraceStream).
 #pragma once
 
 #include <array>
@@ -51,9 +55,10 @@ struct FlightRecord {
 
 class FlightRecorder {
 public:
-    /// `capacity` slots are allocated up front; 0 disables the recorder
-    /// (record() becomes a no-op, nothing should bind to it).
-    explicit FlightRecorder(std::size_t capacity);
+    /// Holds at most `capacity` records; slots are allocated as records
+    /// arrive. 0 disables the recorder (record() becomes a no-op,
+    /// nothing should bind to it).
+    explicit FlightRecorder(std::size_t capacity) : capacity_(capacity) {}
 
     // --- Cold path --------------------------------------------------------
     /// Get-or-create a stable id for `name`. Ids are assigned in first-
@@ -70,15 +75,15 @@ public:
     }
 
     // --- Hot path ---------------------------------------------------------
-    /// Appends one record, evicting the oldest when full. Never
-    /// allocates; `detail` is truncated to FlightRecord::kDetailCapacity.
+    /// Appends one record, evicting the oldest when full. Allocates
+    /// only when the ring grows; `detail` is truncated to
+    /// FlightRecord::kDetailCapacity.
     void record(std::uint64_t at, std::uint16_t source, std::uint16_t kind,
                 std::uint8_t severity, FlightRecordType type, std::uint64_t a,
-                std::uint64_t b, std::string_view detail) noexcept {
-        if (ring_.empty()) return;
-        FlightRecord& slot = ring_[head_];
-        head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
-        if (count_ < ring_.size()) ++count_;
+                std::uint64_t b, std::string_view detail) {
+        if (head_ == ring_.size() && !make_room()) return;
+        FlightRecord& slot = ring_[head_++];
+        if (count_ < capacity_) ++count_;
         ++emitted_;
         slot.at = at;
         slot.source = source;
@@ -108,7 +113,11 @@ public:
                      std::string_view detail);
 
     // --- Queries (cold) ---------------------------------------------------
-    [[nodiscard]] std::size_t capacity() const noexcept {
+    /// The configured maximum, not the slots allocated so far.
+    [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+    /// Slots allocated so far: the smallest power of two that held the
+    /// records, capped at capacity().
+    [[nodiscard]] std::size_t allocated() const noexcept {
         return ring_.size();
     }
     [[nodiscard]] std::size_t size() const noexcept { return count_; }
@@ -145,17 +154,25 @@ public:
         head_ = 0;
         count_ = 0;
         // emitted_ keeps counting: eviction accounting stays truthful.
+        // The slots stay allocated for the records to come.
     }
 
 private:
+    /// Called when head_ has reached the end of the slots: doubles them
+    /// (up to capacity_), or wraps head_ once they span the capacity.
+    /// False when the recorder is disabled.
+    bool make_room();
+
     [[nodiscard]] std::size_t oldest_index() const noexcept {
-        return count_ < ring_.size()
-                   ? (head_ + ring_.size() - count_) % ring_.size()
-                   : head_;
+        // The ring wraps only at full capacity, so below it the live
+        // records are exactly [head_ - count_, head_).
+        return count_ <= head_ ? head_ - count_
+                               : head_ + ring_.size() - count_;
     }
 
-    std::vector<FlightRecord> ring_;
-    std::size_t head_ = 0;   ///< Next slot to write.
+    std::size_t capacity_;
+    std::vector<FlightRecord> ring_;  ///< Grows to capacity_, then wraps.
+    std::size_t head_ = 0;   ///< Next slot to write; == size() at the end.
     std::size_t count_ = 0;  ///< Live records.
     std::uint64_t emitted_ = 0;
     std::vector<std::string> names_;

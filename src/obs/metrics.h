@@ -4,16 +4,26 @@
 //
 // Hot-path contract: registration (counter()/gauge()/histogram()) is
 // the cold path and may allocate; the returned references are stable
-// for the registry's lifetime and incrementing/recording through them
-// never allocates. Components hold the references, not names.
+// for the registry's lifetime. Incrementing a counter or setting a
+// gauge through them never allocates; a histogram allocates its
+// buckets once, at its first sample. Components hold the references,
+// not names.
+//
+// Storage: series names live in one process-wide table that maps
+// (kind, name) to a dense id. A registry keeps its values in per-kind
+// arrays indexed by that id, plus a presence bit per id, so a node's
+// series cost a few bytes each and merging two registries is addition
+// by index. Ids are assigned in first-registration order across the
+// whole process, which varies with thread scheduling, so they never
+// reach any output: exports walk names in sorted order.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace cres::obs {
 
@@ -47,7 +57,9 @@ private:
 
 /// Log2-bucket histogram over uint64 samples (cycle latencies, sizes).
 /// Bucket 0 holds the value 0; bucket i (i >= 1) holds values in
-/// [2^(i-1), 2^i - 1], so the inclusive upper bound is 2^i - 1.
+/// [2^(i-1), 2^i - 1], so the inclusive upper bound is 2^i - 1. The
+/// buckets are allocated at the first sample, so a histogram that is
+/// registered but never recorded holds no bucket storage.
 class Histogram {
 public:
     static constexpr std::size_t kBucketCount = 65;
@@ -65,7 +77,8 @@ public:
         return (std::uint64_t{1} << i) - 1;
     }
 
-    void record(std::uint64_t v) noexcept {
+    void record(std::uint64_t v) {
+        if (buckets_.empty()) buckets_.resize(kBucketCount);
         ++buckets_[bucket_index(v)];
         sum_ += v;
         if (v < min_) min_ = v;
@@ -74,8 +87,9 @@ public:
 
     /// Records `n` identical samples in O(1) — the quiescence-skip bulk
     /// path (docs/SCHEDULER.md). Equivalent to n record(v) calls.
-    void record_many(std::uint64_t v, std::uint64_t n) noexcept {
+    void record_many(std::uint64_t v, std::uint64_t n) {
         if (n == 0) return;
+        if (buckets_.empty()) buckets_.resize(kBucketCount);
         buckets_[bucket_index(v)] += n;
         sum_ += v * n;
         if (v < min_) min_ = v;
@@ -96,7 +110,7 @@ public:
     }
     [[nodiscard]] std::uint64_t max() const noexcept { return max_; }
     [[nodiscard]] std::uint64_t bucket(std::size_t i) const noexcept {
-        return i < kBucketCount ? buckets_[i] : 0;
+        return i < buckets_.size() ? buckets_[i] : 0;
     }
     /// Index of the highest non-empty bucket (0 when empty).
     [[nodiscard]] std::size_t highest_bucket() const noexcept;
@@ -119,24 +133,88 @@ public:
 
 private:
     friend class MetricsRegistry;
-    std::array<std::uint64_t, kBucketCount> buckets_{};
+    /// kBucketCount entries, or empty until the first sample.
+    std::vector<std::uint64_t> buckets_;
     std::uint64_t sum_ = 0;
     std::uint64_t min_ = ~std::uint64_t{0};
     std::uint64_t max_ = 0;
 };
 
+namespace detail {
+
+/// One kind's values, indexed by series id, in fixed 16-slot chunks.
+/// A chunk is allocated when an id in it is first added and never
+/// resized, so growth never moves a live value, and an unused store
+/// allocates nothing.
+template <typename T>
+class SeriesSlots {
+public:
+    /// The value for `id`, default-constructed and marked present on
+    /// first use.
+    T& get_or_add(std::size_t id) {
+        const std::size_t c = id / kChunkSlots;
+        if (c >= chunks_.size()) {
+            chunks_.resize(c + 1);
+            present_.resize(c + 1);
+        }
+        if (chunks_[c].empty()) chunks_[c].resize(kChunkSlots);
+        present_[c] |= std::uint32_t{1} << (id % kChunkSlots);
+        return chunks_[c][id % kChunkSlots];
+    }
+
+    /// nullptr when `id` was never added.
+    [[nodiscard]] const T* find(std::size_t id) const noexcept {
+        const std::size_t c = id / kChunkSlots;
+        if (c >= chunks_.size() ||
+            (present_[c] >> (id % kChunkSlots) & 1u) == 0) {
+            return nullptr;
+        }
+        return &chunks_[c][id % kChunkSlots];
+    }
+
+    [[nodiscard]] std::size_t size() const noexcept {
+        std::size_t n = 0;
+        for (const std::uint32_t bits : present_) {
+            n += static_cast<std::size_t>(std::popcount(bits));
+        }
+        return n;
+    }
+
+    /// Visits present values in id order as fn(id, value).
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+        for (std::size_t c = 0; c < present_.size(); ++c) {
+            for (std::uint32_t bits = present_[c]; bits != 0;
+                 bits &= bits - 1) {
+                const auto slot =
+                    static_cast<std::size_t>(std::countr_zero(bits));
+                fn(c * kChunkSlots + slot, chunks_[c][slot]);
+            }
+        }
+    }
+
+private:
+    static constexpr std::size_t kChunkSlots = 16;
+
+    std::vector<std::vector<T>> chunks_;  ///< Empty or kChunkSlots each.
+    std::vector<std::uint32_t> present_;  ///< Bit i of [c]: chunks_[c][i].
+};
+
+}  // namespace detail
+
 /// Named metric store with deterministic (name-ordered) export and
 /// merge. Metric names follow Prometheus conventions and may carry a
 /// label set inline: `cres_monitor_polls_total{monitor="bus-monitor"}`.
 /// Registration is get-or-create: components binding the same name
-/// share one series.
+/// share one series. Registration, find_*() and the exports read the
+/// process-wide series table under its lock, so they are safe while
+/// other registries register on other threads; one registry is still
+/// used by one thread at a time.
 class MetricsRegistry {
 public:
-    Counter& counter(const std::string& name) { return counters_[name]; }
-    Gauge& gauge(const std::string& name) { return gauges_[name]; }
-    Histogram& histogram(const std::string& name) {
-        return histograms_[name];
-    }
+    Counter& counter(const std::string& name);
+    Gauge& gauge(const std::string& name);
+    Histogram& histogram(const std::string& name);
 
     /// Read-only lookups (nullptr when the metric was never registered).
     [[nodiscard]] const Counter* find_counter(const std::string& name) const;
@@ -157,7 +235,7 @@ public:
     /// nullptr when no help text was registered for `base`.
     [[nodiscard]] const std::string* find_help(std::string_view base) const;
 
-    /// Index-ordered deterministic reduction: counters and histogram
+    /// Deterministic reduction, by series id: counters and histogram
     /// buckets sum, gauges sum values and take the max of high-water
     /// marks; help texts union (first wins). Safe to call repeatedly
     /// (fleet folds devices in index order so the result is
@@ -176,9 +254,9 @@ public:
     [[nodiscard]] std::string json() const;
 
 private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Gauge> gauges_;
-    std::map<std::string, Histogram> histograms_;
+    detail::SeriesSlots<Counter> counters_;
+    detail::SeriesSlots<Gauge> gauges_;
+    detail::SeriesSlots<Histogram> histograms_;
     std::map<std::string, std::string, std::less<>> help_;
 };
 

@@ -47,7 +47,9 @@ struct FleetConfig {
     bool share_firmware = true;
 
     /// Per-node observability cost knobs, forwarded to NodeConfig.
-    /// Large passive estates turn both down to hit bytes-per-node.
+    /// Large passive estates turn both down to hit bytes-per-node. The
+    /// recorder capacity is a maximum: each ring grows with the records
+    /// its node holds.
     bool metrics = true;
     std::size_t flight_recorder_capacity = 2048;
 

@@ -77,8 +77,10 @@ struct NodeConfig {
     sim::Cycle reboot_downtime = 5000;  ///< Cycles a reboot costs.
     bool metrics = true;  ///< Bind the observability registry (false =
                           ///< compiled-in but unqueried: zero overhead).
-    /// Flight-recorder ring slots (black-box capacity). 0 disables the
-    /// recorder entirely: nothing binds, producers pay one null check.
+    /// Maximum flight-recorder ring slots (black-box capacity). The
+    /// ring grows by doubling as records arrive, so memory follows the
+    /// records held. 0 disables the recorder entirely: nothing binds,
+    /// producers pay one null check.
     std::size_t flight_recorder_capacity = 2048;
     /// SIEM staging-buffer slots (fleet export backpressure bound). The
     /// fleet drains it in device-index order; overflow between drains

@@ -1,16 +1,21 @@
 // Observability subsystem: log2-bucket histogram KATs, span lifecycle,
 // exposition formats (Prometheus golden file + JSON), deterministic
 // merge, the structured log sink, the flight-recorder ring, sealed
-// postmortem bundles, the Chrome trace exporter (golden file), and the
+// postmortem bundles, the Chrome trace exporter (golden file), the
 // end-to-end check that one attack scenario populates the CSF latency
-// histograms and seals a verifiable postmortem.
+// histograms and seals a verifiable postmortem, and the merged scrape
+// of a campaign estate (golden file).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <sstream>
 
 #include "attack/attacks.h"
+#include "attack/campaigns.h"
 #include "core/monitor/monitor.h"
 #include "crypto/hmac.h"
 #include "obs/chrome_trace.h"
@@ -19,6 +24,7 @@
 #include "obs/metrics.h"
 #include "obs/postmortem.h"
 #include "obs/span.h"
+#include "platform/fleet.h"
 #include "platform/scenario.h"
 #include "sim/trace.h"
 
@@ -197,6 +203,90 @@ TEST(MetricsRegistry, MergeIsDeterministicForAGivenFoldOrder) {
         return merged.prometheus();
     };
     EXPECT_EQ(fold(), fold());
+}
+
+// Ids come from one process-wide series table; a registry's exports,
+// size() and lookups must still cover only what it registered itself.
+TEST(MetricsRegistry, ExportsShowOnlySeriesThisRegistryRegistered) {
+    MetricsRegistry a;
+    MetricsRegistry b;
+    a.counter("x_total").inc(2);
+    b.counter("y_total").inc(3);
+    EXPECT_EQ(a.size(), 1u);
+    EXPECT_EQ(a.prometheus(), "# TYPE x_total counter\nx_total 2\n");
+    EXPECT_EQ(a.json(),
+              "{\n  \"counters\": {\n    \"x_total\": 2\n  },\n"
+              "  \"gauges\": {},\n  \"histograms\": {}\n}\n");
+    EXPECT_EQ(a.find_counter("y_total"), nullptr);
+}
+
+TEST(MetricsRegistry, MergeMatchesByNameWhateverTheRegistrationOrder) {
+    // Registered here in reverse name order, so series ids and names
+    // sort differently; the second registry binds them the other way.
+    MetricsRegistry forward;
+    forward.counter("merge_order_c_total").inc(1);
+    forward.counter("merge_order_b_total").inc(2);
+    forward.counter("merge_order_a_total").inc(3);
+    forward.gauge("merge_order_z_depth").set(4);
+    forward.gauge("merge_order_y_depth").set(5);
+    forward.histogram("merge_order_lat_cycles").record(2);
+    MetricsRegistry backward;
+    backward.histogram("merge_order_lat_cycles").record(6);
+    backward.gauge("merge_order_y_depth").set(50);
+    backward.gauge("merge_order_z_depth").set(40);
+    backward.counter("merge_order_a_total").inc(30);
+    backward.counter("merge_order_b_total").inc(20);
+    backward.counter("merge_order_c_total").inc(10);
+
+    const std::string by_name =
+        "# TYPE merge_order_a_total counter\nmerge_order_a_total 33\n"
+        "# TYPE merge_order_b_total counter\nmerge_order_b_total 22\n"
+        "# TYPE merge_order_c_total counter\nmerge_order_c_total 11\n"
+        "# TYPE merge_order_y_depth gauge\nmerge_order_y_depth 55\n"
+        "merge_order_y_depth_max 50\n"
+        "# TYPE merge_order_z_depth gauge\nmerge_order_z_depth 44\n"
+        "merge_order_z_depth_max 40\n"
+        "# TYPE merge_order_lat_cycles histogram\n"
+        "merge_order_lat_cycles_bucket{le=\"0\"} 0\n"
+        "merge_order_lat_cycles_bucket{le=\"1\"} 0\n"
+        "merge_order_lat_cycles_bucket{le=\"3\"} 1\n"
+        "merge_order_lat_cycles_bucket{le=\"7\"} 2\n"
+        "merge_order_lat_cycles_bucket{le=\"+Inf\"} 2\n"
+        "merge_order_lat_cycles_sum 8\n"
+        "merge_order_lat_cycles_count 2\n";
+    MetricsRegistry one;
+    one.merge_from(forward);
+    one.merge_from(backward);
+    EXPECT_EQ(one.prometheus(), by_name);
+    MetricsRegistry other;
+    other.merge_from(backward);
+    other.merge_from(forward);
+    EXPECT_EQ(other.prometheus(), by_name);
+    EXPECT_EQ(other.json(), one.json());
+}
+
+TEST(MetricsRegistry, CopyDeepCopiesHistogramBuckets) {
+    MetricsRegistry original;
+    Histogram& h = original.histogram("copy_latency_cycles");
+    h.record(5);
+    const MetricsRegistry copy = original;
+    MetricsRegistry assigned;
+    assigned.counter("copy_other_total").inc();
+    assigned = original;
+
+    h.record(5);
+    h.record(1000);
+    for (const MetricsRegistry* r :
+         std::initializer_list<const MetricsRegistry*>{&copy, &assigned}) {
+        const Histogram* snapshot = r->find_histogram("copy_latency_cycles");
+        ASSERT_NE(snapshot, nullptr);
+        EXPECT_NE(snapshot, &h);
+        EXPECT_EQ(snapshot->count(), 1u);
+        EXPECT_EQ(snapshot->bucket(Histogram::bucket_index(5)), 1u);
+        EXPECT_EQ(snapshot->max(), 5u);
+    }
+    EXPECT_EQ(assigned.find_counter("copy_other_total"), nullptr);
+    EXPECT_EQ(h.count(), 3u);
 }
 
 // --- Exposition formats -----------------------------------------------------
@@ -395,30 +485,95 @@ TEST(JsonLogSink, EmitsOneJsonObjectPerLine) {
 
 // --- Flight recorder ---------------------------------------------------------
 
+// Every capacity / record-count pair against a reference model: a
+// deque that drops its front once it holds `capacity` records. The
+// ring grows on demand, so the counts below and across each doubling
+// step pin it record for record to a preallocated ring; one case
+// clear()s part-way through the growth.
 TEST(FlightRecorder, RingWraparoundEvictsExactlyTheOldest) {
-    FlightRecorder rec(8);
-    const std::uint16_t src = rec.intern("mon");
-    const std::uint16_t kind = rec.intern("evt");
-    for (std::uint64_t i = 0; i < 11; ++i) {  // N + k with N=8, k=3.
-        rec.record(100 + i, src, kind, 0, FlightRecordType::kInstant, i, 0,
-                   "d" + std::to_string(i));
+    constexpr std::size_t kNoClear = ~std::size_t{0};
+    struct Case {
+        std::size_t capacity;
+        std::size_t records;
+        std::size_t clear_after;
+    };
+    std::vector<Case> cases;
+    for (const std::size_t cap : {1u, 3u, 64u, 2048u}) {
+        for (const std::size_t n :
+             {std::size_t{0}, std::size_t{1}, cap - 1, cap, cap + 1,
+              3 * cap + 2}) {
+            cases.push_back({cap, n, kNoClear});
+        }
     }
-    EXPECT_EQ(rec.capacity(), 8u);
-    EXPECT_EQ(rec.size(), 8u);
-    EXPECT_EQ(rec.total_emitted(), 11u);
-    EXPECT_EQ(rec.evicted(), 3u);
+    cases.push_back({2048, 3 * 2048 + 2, 100});
 
-    // Exactly the oldest k records are gone; survivors keep emission
-    // order and strictly increasing cycles.
-    std::vector<std::uint64_t> seen;
-    std::uint64_t last_at = 0;
-    rec.for_each([&](const FlightRecord& r) {
-        seen.push_back(r.a);
-        EXPECT_GT(r.at, last_at);
-        last_at = r.at;
-        EXPECT_EQ(r.detail_view(), "d" + std::to_string(r.a));
-    });
-    EXPECT_EQ(seen, (std::vector<std::uint64_t>{3, 4, 5, 6, 7, 8, 9, 10}));
+    for (const Case& c : cases) {
+        SCOPED_TRACE("capacity " + std::to_string(c.capacity) + ", " +
+                     std::to_string(c.records) + " records");
+        FlightRecorder rec(c.capacity);
+        const std::uint16_t src = rec.intern("mon");
+        const std::uint16_t kind = rec.intern("evt");
+        struct Expected {
+            std::uint64_t seq;
+            std::uint64_t at;
+        };
+        std::deque<Expected> model;
+        std::size_t held = 0;  // Records since the last clear().
+        std::size_t peak = 0;
+        for (std::uint64_t i = 0; i < c.records; ++i) {
+            if (i == c.clear_after) {
+                rec.clear();
+                model.clear();
+                held = 0;
+            }
+            peak = std::max(peak, ++held);
+            const std::uint64_t at = 100 + 3 * i;
+            rec.record(at, src, kind, 0, FlightRecordType::kInstant, i, 0,
+                       "d" + std::to_string(i));
+            model.push_back({i, at});
+            if (model.size() > c.capacity) model.pop_front();
+        }
+
+        EXPECT_EQ(rec.capacity(), c.capacity);
+        // Memory follows the records held, never past the capacity.
+        EXPECT_EQ(rec.allocated(),
+                  peak == 0 ? 0 : std::min(c.capacity, std::bit_ceil(peak)));
+        EXPECT_EQ(rec.size(), model.size());
+        EXPECT_EQ(rec.total_emitted(), c.records);
+        EXPECT_EQ(rec.evicted(), c.records - model.size());
+
+        // Exactly the oldest records are gone; survivors keep emission
+        // order, cycles and payloads.
+        std::vector<std::uint64_t> seen;
+        rec.for_each([&](const FlightRecord& r) {
+            seen.push_back(r.a);
+            EXPECT_EQ(r.at, 100 + 3 * r.a);
+            EXPECT_EQ(r.detail_view(), "d" + std::to_string(r.a));
+        });
+        std::vector<std::uint64_t> expected;
+        for (const Expected& e : model) expected.push_back(e.seq);
+        EXPECT_EQ(seen, expected);
+
+        const auto seqs = [](const std::vector<FlightRecord>& records) {
+            std::vector<std::uint64_t> out;
+            for (const FlightRecord& r : records) out.push_back(r.a);
+            return out;
+        };
+        const std::uint64_t middle =
+            model.empty() ? 0 : model[model.size() / 2].seq;
+        for (const std::uint64_t seq :
+             {std::uint64_t{0}, middle, std::uint64_t{c.records}}) {
+            std::vector<std::uint64_t> want;
+            std::vector<std::uint64_t> want_by_cycle;
+            for (const Expected& e : model) {
+                if (e.seq >= seq) want.push_back(e.seq);
+                if (e.at >= 100 + 3 * seq) want_by_cycle.push_back(e.seq);
+            }
+            EXPECT_EQ(seqs(rec.snapshot_emitted_since(seq)), want);
+            EXPECT_EQ(seqs(rec.snapshot_since(100 + 3 * seq)),
+                      want_by_cycle);
+        }
+    }
 }
 
 TEST(FlightRecorder, DetailIsTruncatedNotOverrun) {
@@ -859,6 +1014,44 @@ TEST(EndToEnd, UnboundRegistryStaysEmpty) {
     (void)scenario.run(&attack, 8000);
     EXPECT_EQ(scenario.node().metrics.size(), 0u);
     EXPECT_EQ(scenario.node().metrics.prometheus(), "");
+}
+
+/// The merged scrape (Prometheus text, then the JSON snapshot) of a
+/// 16-device estate under all three campaign classes after eight
+/// epochs. Two enrolment workers register series concurrently, so the
+/// golden also pins that registration order never reaches the output.
+std::string campaign_estate_scrape() {
+    platform::FleetConfig config;
+    config.device_count = 16;
+    config.resilient = true;
+    config.interrupt_workload = true;
+    config.seed = 7;
+    config.worker_threads = 2;
+    platform::Fleet fleet(config);
+    attack::WormCampaign worm;
+    attack::CoordinatedReplayCampaign replay;
+    attack::StaggeredDowngradeCampaign downgrade;
+    worm.launch(fleet);
+    replay.launch(fleet);
+    downgrade.launch(fleet);
+    for (int epoch = 0; epoch < 8; ++epoch) {
+        fleet.run(10000);
+        (void)fleet.attestation_sweep();
+        (void)fleet.collect_health();
+        (void)fleet.drain_siem();
+    }
+    const MetricsRegistry scrape = fleet.collect_metrics();
+    return scrape.prometheus() + scrape.json();
+}
+
+TEST(EndToEnd, FleetScrapeMatchesGoldenFile) {
+    const std::string path =
+        std::string(CRES_OBS_GOLDEN_DIR) + "/fleet_scrape.golden";
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "missing golden file " << path;
+    std::stringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(campaign_estate_scrape(), golden.str());
 }
 
 }  // namespace
