@@ -39,8 +39,7 @@ constexpr std::size_t kEventCategoryCount = 10;
 /// Static-storage name for a category; no per-call allocation.
 std::string_view category_name(EventCategory category) noexcept;
 
-// --- RFC 5424 mapping table (shared by obs::JsonLogSink and the SIEM
-// --- export stream, so every exporter classifies identically; the
+// --- RFC 5424 mapping table used by the SIEM export stream (the
 // --- numeric vocabulary itself lives in obs/syslog.h).
 
 /// Syslog severity code for an event severity: kInfo -> informational

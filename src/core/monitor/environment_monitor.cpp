@@ -14,16 +14,17 @@ EnvironmentMonitor::EnvironmentMonitor(EventSink& sink,
       sensor_(sensor),
       envelope_(envelope),
       period_(period),
-      countdown_(period) {
+      next_poll_(sim.now() + period - 1) {
     if (period_ == 0) throw Error("EnvironmentMonitor: zero period");
 }
 
 void EnvironmentMonitor::tick(sim::Cycle now) {
-    if (--countdown_ > 0) return;
-    countdown_ = period_;
+    if (now < next_poll_) return;
+    next_poll_ = now + period_;
     note_poll(now);
 
-    const double v = sensor_.voltage();
+    // Polling during `now`, the monitor sees that cycle's glitch end.
+    const double v = sensor_.voltage_before(now + 1);
     const double t = sensor_.temperature();
     const bool bad_v = v < envelope_.min_voltage || v > envelope_.max_voltage;
     const bool bad_t = t < envelope_.min_temp || t > envelope_.max_temp;

@@ -29,13 +29,11 @@ public:
 
     void tick(sim::Cycle now) override;
 
-    /// Quiescence: acts only when the poll countdown drains; skipped
-    /// ticks just run the countdown down, replayed in one subtraction.
+    /// Quiescence: polls fire at an absolute cycle, the first one
+    /// `period - 1` cycles after construction; ticks before it are
+    /// no-ops.
     [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) override {
-        return now + countdown_ - 1;
-    }
-    void skip(sim::Cycle /*now*/, sim::Cycle cycles) override {
-        countdown_ -= static_cast<std::uint32_t>(cycles);
+        return next_poll_ > now ? next_poll_ : now;
     }
 
     [[nodiscard]] std::uint64_t excursions() const noexcept {
@@ -47,7 +45,7 @@ private:
     dev::PowerSensor& sensor_;
     EnvironmentEnvelope envelope_;
     std::uint32_t period_;
-    std::uint32_t countdown_;
+    sim::Cycle next_poll_;
     bool in_excursion_ = false;
     std::uint64_t excursions_ = 0;
 };

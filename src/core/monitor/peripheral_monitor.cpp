@@ -25,8 +25,8 @@ void PeripheralMonitor::watch_actuator(const std::string& region,
 void PeripheralMonitor::watch_sensor(dev::Sensor& sensor,
                                      const SensorEnvelope& envelope,
                                      std::uint32_t period) {
-    sensors_.push_back(
-        SensorWatch{&sensor, envelope, period, period, std::nullopt});
+    sensors_.push_back(SensorWatch{&sensor, envelope, period,
+                                   sim_.now() + period - 1, std::nullopt});
 }
 
 void PeripheralMonitor::on_transaction(const mem::BusTransaction& txn) {
@@ -79,10 +79,11 @@ void PeripheralMonitor::on_transaction(const mem::BusTransaction& txn) {
 void PeripheralMonitor::tick(sim::Cycle now) {
     if (!enabled()) return;
     for (auto& watch : sensors_) {
-        if (--watch.countdown > 0) continue;
-        watch.countdown = watch.period;
+        if (now < watch.next_poll) continue;
+        watch.next_poll = now + watch.period;
         note_poll(now);
-        const double value = watch.sensor->value();
+        // Polling during `now`, the monitor sees that cycle's sample.
+        const double value = watch.sensor->value_before(now + 1);
 
         if (value < watch.envelope.min_value ||
             value > watch.envelope.max_value) {
@@ -107,17 +108,9 @@ sim::Cycle PeripheralMonitor::next_activity(sim::Cycle now) {
     if (!enabled()) return kIdleForever;
     sim::Cycle wake = kIdleForever;
     for (const auto& watch : sensors_) {
-        const sim::Cycle due = now + watch.countdown - 1;
-        if (due < wake) wake = due;
+        if (watch.next_poll < wake) wake = watch.next_poll;
     }
-    return wake;
-}
-
-void PeripheralMonitor::skip(sim::Cycle /*now*/, sim::Cycle cycles) {
-    if (!enabled()) return;  // Disabled ticks leave countdowns frozen.
-    for (auto& watch : sensors_) {
-        watch.countdown -= static_cast<std::uint32_t>(cycles);
-    }
+    return wake > now ? wake : now;
 }
 
 }  // namespace cres::core

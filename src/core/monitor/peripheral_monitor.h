@@ -48,7 +48,8 @@ public:
     void watch_actuator(const std::string& region, mem::Addr command_addr,
                         const ActuatorEnvelope& envelope);
 
-    /// Polls `sensor` every `period` cycles against the envelope.
+    /// Polls `sensor` every `period` cycles against the envelope, the
+    /// first time `period - 1` cycles from now.
     void watch_sensor(dev::Sensor& sensor, const SensorEnvelope& envelope,
                       std::uint32_t period = 100);
 
@@ -56,9 +57,11 @@ public:
     void tick(sim::Cycle now) override;
 
     /// Quiescence: actuator envelopes are transaction-driven (stepped
-    /// cycles only); sensor polls wake at the earliest countdown.
+    /// cycles only); sensor polls wake at the earliest absolute poll
+    /// cycle. A disabled monitor skips its polls: re-enabled with a
+    /// poll overdue, it polls on the first stepped cycle, as
+    /// CacheMonitor does.
     [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) override;
-    void skip(sim::Cycle now, sim::Cycle cycles) override;
 
 private:
     struct ActuatorWatch {
@@ -72,7 +75,7 @@ private:
         dev::Sensor* sensor;
         SensorEnvelope envelope;
         std::uint32_t period;
-        std::uint32_t countdown;
+        sim::Cycle next_poll;
         std::optional<double> last_value;
     };
 

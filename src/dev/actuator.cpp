@@ -50,7 +50,7 @@ mem::BusResponse Actuator::write_reg(mem::Addr offset, std::uint32_t value,
     const double requested = from_fixed(static_cast<std::int32_t>(value));
     const double applied = std::clamp(requested, min_, max_);
     current_ = applied;
-    history_.push_back(Command{now_, requested, applied, requested != applied});
+    history_.push_back(Command{requested, applied, requested != applied});
     return mem::BusResponse::kOk;
 }
 

@@ -1,7 +1,7 @@
 // Physical actuator (e.g. breaker, valve, motor drive). Records every
-// command with its cycle stamp so experiments can quantify physical
-// impact ("damage") of an attack and monitors can check plausibility
-// (range and slew-rate limits). Register map:
+// command so experiments can quantify physical impact ("damage") of an
+// attack and monitors can check plausibility (range and slew-rate
+// limits). Register map:
 //   0x00 COMMAND (W) signed 16.16 fixed-point setpoint
 //   0x04 CURRENT (R) last accepted setpoint
 //   0x08 COUNT   (R) number of commands
@@ -26,23 +26,10 @@ public:
     static constexpr mem::Addr kRegCount = 0x08;
 
     struct Command {
-        sim::Cycle at = 0;
         double requested = 0.0;
         double applied = 0.0;
         bool clamped = false;
     };
-
-    void tick(sim::Cycle now) override { now_ = now; }
-
-    /// Quiescence: the actuator only timestamps bus commands, which
-    /// land exclusively on stepped cycles; skip() replays the clock
-    /// latch of the elided ticks.
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle /*now*/) override {
-        return kIdleForever;
-    }
-    void skip(sim::Cycle now, sim::Cycle cycles) override {
-        now_ = now + cycles - 1;
-    }
 
     [[nodiscard]] double current() const noexcept { return current_; }
     [[nodiscard]] const std::vector<Command>& history() const noexcept {
@@ -66,7 +53,6 @@ private:
     double min_;
     double max_;
     double current_ = 0.0;
-    sim::Cycle now_ = 0;
     std::vector<Command> history_;
 };
 

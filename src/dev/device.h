@@ -1,5 +1,6 @@
 // Common peripheral plumbing: IRQ wiring and a base class for
-// memory-mapped devices that also need per-cycle behaviour.
+// memory-mapped devices. Devices with per-cycle behaviour (timer,
+// watchdog, DMA engine) are also sim::Tickables.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,7 @@ using IrqRaiser = std::function<void(unsigned line)>;
 
 /// Base for memory-mapped peripherals. Subclasses implement the
 /// register file via read_reg/write_reg on word-aligned offsets.
-class Device : public mem::BusTarget, public sim::Tickable {
+class Device : public mem::BusTarget {
 public:
     explicit Device(std::string name) : name_(std::move(name)) {}
 
@@ -28,9 +29,6 @@ public:
         irq_ = std::move(raiser);
         irq_line_ = line;
     }
-
-    /// Devices without per-cycle behaviour inherit this no-op.
-    void tick(sim::Cycle) override {}
 
     // Registers are word-granular; sub-word accesses are accepted when
     // they target the register's base (DMA engines stream bytes) and

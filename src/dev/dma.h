@@ -14,7 +14,7 @@
 
 namespace cres::dev {
 
-class DmaEngine : public Device {
+class DmaEngine : public Device, public sim::Tickable {
 public:
     DmaEngine(std::string name, mem::Bus& bus)
         : Device(std::move(name)), bus_(bus) {}

@@ -2,19 +2,6 @@
 
 namespace cres::dev {
 
-void PowerSensor::tick(sim::Cycle /*now*/) {
-    if (glitch_remaining_ > 0) --glitch_remaining_;
-}
-
-double PowerSensor::voltage() const noexcept {
-    return glitch_remaining_ > 0 ? glitch_voltage_ : voltage_;
-}
-
-void PowerSensor::inject_glitch(double glitch_voltage, sim::Cycle duration) {
-    glitch_voltage_ = glitch_voltage;
-    glitch_remaining_ = duration;
-}
-
 mem::BusResponse PowerSensor::read_reg(mem::Addr offset, std::uint32_t& out,
                                        const mem::BusAttr& /*attr*/) {
     switch (offset) {

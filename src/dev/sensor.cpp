@@ -12,42 +12,30 @@ double from_fixed(std::int32_t raw) noexcept {
     return static_cast<double>(raw) / 65536.0;
 }
 
-Sensor::Sensor(std::string name, std::function<double(sim::Cycle)> signal,
+Sensor::Sensor(std::string name, const sim::Simulator& sim,
+               std::function<double(sim::Cycle)> signal,
                std::uint32_t period)
     : Device(std::move(name)),
+      sim_(sim),
       signal_(std::move(signal)),
       period_(period),
-      countdown_(period) {
+      next_sample_(sim.now() + period - 1) {
     if (!signal_) throw Error("Sensor: null signal function");
     if (period_ == 0) throw Error("Sensor: zero period");
 }
 
-void Sensor::tick(sim::Cycle now) {
-    if (--countdown_ > 0) return;
-    countdown_ = period_;
-    const double value = spoof_ ? spoof_(now) : signal_(now);
-    data_ = to_fixed(value);
-    ++samples_;
-}
-
-void Sensor::skip(sim::Cycle now, sim::Cycle cycles) {
-    if (countdown_ > cycles) {
-        countdown_ -= static_cast<std::uint32_t>(cycles);
-        return;
-    }
-    const sim::Cycle end = now + cycles;
-    sim::Cycle at = now + countdown_ - 1;
-    while (at < end) {
-        const double value = spoof_ ? spoof_(at) : signal_(at);
+void Sensor::catch_up(sim::Cycle end) {
+    for (; next_sample_ < end; next_sample_ += period_) {
+        const double value =
+            spoof_ ? spoof_(next_sample_) : signal_(next_sample_);
         data_ = to_fixed(value);
         ++samples_;
-        at += period_;
     }
-    countdown_ = static_cast<std::uint32_t>(at - end + 1);
 }
 
 mem::BusResponse Sensor::read_reg(mem::Addr offset, std::uint32_t& out,
                                   const mem::BusAttr& /*attr*/) {
+    catch_up(sim_.now());
     switch (offset) {
         case kRegData:
             out = static_cast<std::uint32_t>(data_);
@@ -61,8 +49,11 @@ mem::BusResponse Sensor::read_reg(mem::Addr offset, std::uint32_t& out,
 mem::BusResponse Sensor::write_reg(mem::Addr offset, std::uint32_t value,
                                    const mem::BusAttr& /*attr*/) {
     if (offset == kRegPeriod && value > 0) {
+        const sim::Cycle now = sim_.now();
+        catch_up(now);
         period_ = value;
-        if (countdown_ > period_) countdown_ = period_;
+        // A shorter period pulls the pending sample in.
+        if (next_sample_ > now + period_ - 1) next_sample_ = now + period_ - 1;
         return mem::BusResponse::kOk;
     }
     return mem::BusResponse::kDeviceError;

@@ -10,7 +10,7 @@
 
 namespace cres::dev {
 
-class Timer : public Device {
+class Timer : public Device, public sim::Tickable {
 public:
     explicit Timer(std::string name) : Device(std::move(name)) {}
 

@@ -12,7 +12,7 @@
 
 namespace cres::dev {
 
-class Watchdog : public Device {
+class Watchdog : public Device, public sim::Tickable {
 public:
     explicit Watchdog(std::string name) : Device(std::move(name)) {}
 

@@ -36,12 +36,6 @@ Bytes fleet_siem_key(std::uint64_t seed) {
                         "siem-export", 32);
 }
 
-FleetMonitorConfig campaign_config(const FleetConfig& cfg) {
-    FleetMonitorConfig out = cfg.campaign;
-    out.device_count = cfg.device_count;
-    return out;
-}
-
 }  // namespace
 
 std::vector<std::size_t> SweepResult::flagged_devices() const {
@@ -59,7 +53,7 @@ Fleet::Fleet(FleetConfig config)
       siem_key_(fleet_siem_key(cfg_.seed)),
       fleet_recorder_(kFleetRecorderCapacity),
       siem_stream_(std::make_unique<obs::SiemStream>(siem_key_)),
-      monitor_(std::make_unique<FleetMonitor>(campaign_config(cfg_),
+      monitor_(std::make_unique<FleetMonitor>(cfg_.device_count,
                                               fleet_metrics_,
                                               fleet_recorder_)),
       translation_cache_(std::make_shared<TranslationCache>()),
@@ -144,16 +138,9 @@ void Fleet::schedule_pump(Node& node) {
     });
 }
 
-void Fleet::run(sim::Cycle cycles, sim::Cycle slice) {
-    const sim::Cycle quantum = slice == 0 ? 1 : slice;
+void Fleet::run(sim::Cycle cycles) {
     pool_.parallel_for(devices_.size(), [&](std::size_t i) {
-        Node& node = devices_[i]->node;
-        sim::Cycle done = 0;
-        while (done < cycles) {
-            const sim::Cycle step = std::min(quantum, cycles - done);
-            node.run(step);
-            done += step;
-        }
+        devices_[i]->node.run(cycles);
     });
 }
 

@@ -65,10 +65,6 @@ struct FleetConfig {
     /// v1 frames on the wire and union-find-only worm correlation.
     bool causal_tracing = true;
 
-    /// Campaign-correlation thresholds (docs/OBSERVABILITY.md). The
-    /// device_count field is ignored — the fleet fills it in.
-    FleetMonitorConfig campaign;
-
     /// Worker threads for fleet phases (enrolment, run, sweeps, health
     /// collection). 0 = hardware concurrency; 1 = serial. Any value
     /// produces bit-identical verdicts, health summaries and evidence
@@ -164,10 +160,8 @@ public:
     /// the worker pool (each node's simulator is thread-confined to one
     /// worker for the whole call). Devices exchange traffic only with
     /// their own operator endpoint, so per-device state is independent
-    /// of scheduling; `slice` bounds the quantum each device advances
-    /// per inner step (kept for causality if devices ever talk to each
-    /// other directly).
-    void run(sim::Cycle cycles, sim::Cycle slice = 1000);
+    /// of scheduling.
+    void run(sim::Cycle cycles);
 
     /// Challenges every device and verifies its quote against the
     /// golden measurement captured at enrolment. The direct variant

@@ -11,6 +11,15 @@ namespace {
 
 constexpr std::uint64_t kUnset = ~std::uint64_t{0};
 
+/// Infection-graph component size that flags a worm.
+constexpr std::size_t kWormMinDevices = 8;
+/// Distinct devices reporting one replay fingerprint in-window.
+constexpr std::size_t kReplayMinDevices = 8;
+constexpr sim::Cycle kReplayWindow = 60000;
+/// Distinct devices rejecting a downgrade install in-window.
+constexpr std::size_t kDowngradeMinDevices = 8;
+constexpr sim::Cycle kDowngradeWindow = 200000;
+
 }  // namespace
 
 std::string_view campaign_kind_name(CampaignKind kind) noexcept {
@@ -22,10 +31,10 @@ std::string_view campaign_kind_name(CampaignKind kind) noexcept {
     return "?";
 }
 
-FleetMonitor::FleetMonitor(FleetMonitorConfig config,
+FleetMonitor::FleetMonitor(std::size_t device_count,
                            obs::MetricsRegistry& registry,
                            obs::FlightRecorder& recorder)
-    : cfg_(config),
+    : device_count_(device_count),
       registry_(registry),
       recorder_(recorder),
       spans_(registry, "cres_fleet_csf"),
@@ -34,13 +43,13 @@ FleetMonitor::FleetMonitor(FleetMonitorConfig config,
       m_latency_p95_(&registry.gauge(
           "cres_fleet_campaign_detection_latency_p95_cycles")),
       m_depth_(&registry.histogram("cres_fleet_infection_depth")),
-      prov_child_seen_(cfg_.device_count, false),
-      parent_(cfg_.device_count),
-      rank_(cfg_.device_count, 0),
-      comp_size_(cfg_.device_count, 0),
-      comp_first_at_(cfg_.device_count, kUnset),
-      comp_flagged_(cfg_.device_count, false),
-      worm_member_(cfg_.device_count, false) {
+      prov_child_seen_(device_count_, false),
+      parent_(device_count_),
+      rank_(device_count_, 0),
+      comp_size_(device_count_, 0),
+      comp_first_at_(device_count_, kUnset),
+      comp_flagged_(device_count_, false),
+      worm_member_(device_count_, false) {
     for (std::uint32_t i = 0; i < parent_.size(); ++i) parent_[i] = i;
     for (std::size_t k = 0; k < kCampaignKindCount; ++k) {
         m_kind_[k] = &registry.counter(
@@ -87,7 +96,7 @@ void FleetMonitor::observe_worm(std::uint32_t victim,
     // origins (ordinary forgery noise, real MITM garbage) contribute no
     // edge.
     const std::uint64_t claimed = event.a;
-    if (claimed >= cfg_.device_count || victim >= cfg_.device_count) return;
+    if (claimed >= device_count_ || victim >= device_count_) return;
     const auto origin = static_cast<std::uint32_t>(claimed);
     if (origin == victim) return;
 
@@ -99,7 +108,7 @@ void FleetMonitor::observe_worm(std::uint32_t victim,
     // longer claim to be the whole story.
     if (event.traced) {
         provenance_.traced = true;
-        if (event.trace_origin < cfg_.device_count) {
+        if (event.trace_origin < device_count_) {
             provenance_.patient_zero = event.trace_origin;
         }
         if (!prov_child_seen_[victim]) {
@@ -139,13 +148,13 @@ void FleetMonitor::observe_worm(std::uint32_t victim,
     }
 
     const std::uint32_t root = find_root(victim);
-    if (comp_flagged_[root] || comp_size_[root] < cfg_.worm_min_devices) {
+    if (comp_flagged_[root] || comp_size_[root] < kWormMinDevices) {
         return;
     }
     comp_flagged_[root] = true;
 
     std::vector<std::uint32_t> members;
-    for (std::uint32_t d = 0; d < cfg_.device_count; ++d) {
+    for (std::uint32_t d = 0; d < device_count_; ++d) {
         if (!worm_member_[d] || find_root(d) != root) continue;
         if (members.size() < CampaignIncident::kDeviceSample) {
             members.push_back(d);
@@ -162,14 +171,14 @@ void FleetMonitor::observe_replay(std::uint32_t device,
     WindowTrack& track = replay_by_fingerprint_[event.a];
     if (track.flagged) return;
     for (auto it = track.last_seen.begin(); it != track.last_seen.end();) {
-        if (it->second + cfg_.replay_window < event.at) {
+        if (it->second + kReplayWindow < event.at) {
             it = track.last_seen.erase(it);
         } else {
             ++it;
         }
     }
     track.last_seen[device] = event.at;
-    if (track.last_seen.size() < cfg_.replay_min_devices) return;
+    if (track.last_seen.size() < kReplayMinDevices) return;
     track.flagged = true;
 
     std::uint64_t first_at = kUnset;
@@ -192,14 +201,14 @@ void FleetMonitor::observe_downgrade(std::uint32_t device,
     WindowTrack& track = downgrade_by_version_[event.a];
     if (track.flagged) return;
     for (auto it = track.last_seen.begin(); it != track.last_seen.end();) {
-        if (it->second + cfg_.downgrade_window < event.at) {
+        if (it->second + kDowngradeWindow < event.at) {
             it = track.last_seen.erase(it);
         } else {
             ++it;
         }
     }
     track.last_seen[device] = event.at;
-    if (track.last_seen.size() < cfg_.downgrade_min_devices) return;
+    if (track.last_seen.size() < kDowngradeMinDevices) return;
     track.flagged = true;
 
     std::uint64_t first_at = kUnset;

@@ -6,18 +6,20 @@
 //   * Worm propagation: forged channel frames carry the claimed origin
 //     in their sequence field; each (origin -> victim) advisory becomes
 //     an edge in an infection graph, and a connected component growing
-//     past `worm_min_devices` is a campaign — even though every single
+//     to 8 devices is a campaign — even though every single
 //     device only ever saw a sub-streak advisory.
 //
 //   * Coordinated M2M replay: the same replayed sequence fingerprint
-//     surfacing on >= `replay_min_devices` distinct devices inside a
-//     window. One stale frame per device is advisory noise; the same
+//     surfacing on >= 8 distinct devices inside a 60k-cycle window.
+//     One stale frame per device is advisory noise; the same
 //     fingerprint fleet-wide is an orchestrated attack.
 //
 //   * Staggered downgrade: rolling waves of anti-rollback rejections
-//     (version-regression installs) across >= `downgrade_min_devices`
-//     devices inside a window — an estate-wide downgrade attempt
-//     paced to stay under every per-device threshold.
+//     (version-regression installs) across >= 8 devices inside a
+//     200k-cycle window — an estate-wide downgrade attempt paced to
+//     stay under every per-device threshold.
+//
+// The thresholds are constants in fleet_monitor.cpp.
 //
 // Detection is pure serial reduction over the drained stream, so the
 // verdicts are bit-identical at any worker_threads setting. Detected
@@ -51,18 +53,6 @@ enum class CampaignKind : std::uint8_t {
 constexpr std::size_t kCampaignKindCount = 3;
 
 [[nodiscard]] std::string_view campaign_kind_name(CampaignKind kind) noexcept;
-
-struct FleetMonitorConfig {
-    std::size_t device_count = 0;
-    /// Infection-graph component size that flags a worm.
-    std::size_t worm_min_devices = 8;
-    /// Distinct devices reporting one replay fingerprint in-window.
-    std::size_t replay_min_devices = 8;
-    sim::Cycle replay_window = 60000;
-    /// Distinct devices rejecting a downgrade install in-window.
-    std::size_t downgrade_min_devices = 8;
-    sim::Cycle downgrade_window = 200000;
-};
 
 /// One detected fleet-level campaign.
 struct CampaignIncident {
@@ -105,9 +95,10 @@ struct ProvenanceReport {
 
 class FleetMonitor {
 public:
+    /// Correlates records from devices 0..device_count-1.
     /// `registry`/`recorder` are the fleet-level instances (owned by
     /// the Fleet, merged/exported after the per-device artefacts).
-    FleetMonitor(FleetMonitorConfig config, obs::MetricsRegistry& registry,
+    FleetMonitor(std::size_t device_count, obs::MetricsRegistry& registry,
                  obs::FlightRecorder& recorder);
 
     /// Feeds one drained per-device record. Called serially in device-
@@ -162,7 +153,7 @@ private:
 
     [[nodiscard]] std::uint32_t find_root(std::uint32_t device);
 
-    FleetMonitorConfig cfg_;
+    std::size_t device_count_;
     obs::MetricsRegistry& registry_;
     obs::FlightRecorder& recorder_;
     obs::SpanTracer spans_;

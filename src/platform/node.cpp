@@ -17,7 +17,7 @@ Node::Node(NodeConfig config)
       timer("timer"),
       watchdog("wdog"),
       dma("dma", bus),
-      sensor("sensor",
+      sensor("sensor", sim,
              [nominal = cfg.sensor_nominal](sim::Cycle c) {
                  // Gentle physical drift around the nominal value.
                  return nominal +
@@ -27,7 +27,7 @@ Node::Node(NodeConfig config)
       actuator("actuator", -100.0, 100.0),
       nic("nic"),
       trng("trng", cfg.seed ^ 0x74726e67u),
-      power("power", 3.3, 45.0),
+      power("power", sim, 3.3, 45.0),
       cpu("cpu0", bus),
       tee(bus, kTeeRamBase, kTeeRamSize) {
     build_memory_map();
@@ -39,9 +39,6 @@ Node::Node(NodeConfig config)
     sim.add_tickable(&timer);
     sim.add_tickable(&watchdog);
     sim.add_tickable(&dma);
-    sim.add_tickable(&sensor);
-    sim.add_tickable(&actuator);
-    sim.add_tickable(&power);
 
     auto raiser = [this](unsigned line) { cpu.raise_irq(line); };
     timer.connect_irq(raiser, kIrqTimer);

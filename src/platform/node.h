@@ -223,6 +223,8 @@ public:
 
     // --- Substrate (always present) ---------------------------------------
     NodeConfig cfg;
+    /// Declared before the devices: the sensor and the power sensor
+    /// derive their state from this clock.
     sim::Simulator sim;
     sim::TraceStream trace;  ///< Volatile telemetry (passive platforms).
     /// Cycle-accurate metrics; security components bind at provision

@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <string>
 
 namespace cres::sim {
 
@@ -15,23 +16,13 @@ void Simulator::remove_tickable(Tickable* component) noexcept {
     std::erase(tickables_, component);
 }
 
-std::uint32_t Simulator::intern_label(std::string_view label) {
-    const auto it = label_ids_.find(label);
-    if (it != label_ids_.end()) return it->second;
-    const auto id = static_cast<std::uint32_t>(labels_.size());
-    labels_.emplace_back(label);
-    label_ids_.emplace(labels_.back(), id);
-    return id;
-}
-
 void Simulator::schedule_at(Cycle at, std::string_view label,
                             EventFn action) {
     if (at < now_) {
         throw SimError("schedule_at: cannot schedule in the past (" +
                        std::string(label) + ")");
     }
-    events_.push(
-        Event{at, next_seq_++, intern_label(label), std::move(action)});
+    events_.push(Event{at, next_seq_++, std::move(action)});
 }
 
 void Simulator::schedule_in(Cycle delta, std::string_view label,

@@ -23,10 +23,8 @@
 #include <memory>
 #include <new>
 #include <queue>
-#include <string>
 #include <string_view>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -212,8 +210,8 @@ public:
     void remove_tickable(Tickable* component) noexcept;
 
     /// Schedules `action` to run at absolute cycle `at` (>= now).
-    /// Events at the same cycle run in scheduling order. The label is
-    /// interned: scheduling a previously seen label allocates nothing.
+    /// Events at the same cycle run in scheduling order. The label only
+    /// names the event in the error raised for a cycle in the past.
     void schedule_at(Cycle at, std::string_view label, EventFn action);
 
     /// Schedules `action` to run `delta` cycles from now.
@@ -256,17 +254,10 @@ public:
         return cycles_burst_;
     }
 
-    /// Resolves an interned label id (telemetry/tests).
-    [[nodiscard]] std::string_view label_name(std::uint32_t id) const {
-        return id < labels_.size() ? std::string_view{labels_[id]}
-                                   : std::string_view{};
-    }
-
 private:
     struct Event {
         Cycle at;
         std::uint64_t seq;
-        std::uint32_t label;
         EventFn action;
     };
     struct EventLater {
@@ -275,18 +266,8 @@ private:
             return a.seq > b.seq;
         }
     };
-    struct LabelHash {
-        using is_transparent = void;
-        std::size_t operator()(std::string_view s) const noexcept {
-            return std::hash<std::string_view>{}(s);
-        }
-        std::size_t operator()(const std::string& s) const noexcept {
-            return std::hash<std::string_view>{}(s);
-        }
-    };
 
     void fire_due_events();
-    std::uint32_t intern_label(std::string_view label);
     /// Earliest quiescent wake across tickables, capped at `limit`;
     /// returns now_ when any component is active this cycle, except a
     /// first component that is burst_ready(). `lead_bursts` reports that
@@ -301,10 +282,6 @@ private:
     bool quiescence_ = true;
     std::priority_queue<Event, std::vector<Event>, EventLater> events_;
     std::vector<Tickable*> tickables_;
-    std::vector<std::string> labels_;
-    std::unordered_map<std::string, std::uint32_t, LabelHash,
-                       std::equal_to<>>
-        label_ids_;
 };
 
 }  // namespace cres::sim

@@ -2,6 +2,9 @@
 // accounting, and the specific monitor that catches it.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+
 #include "attack/attacks.h"
 #include "platform/scenario.h"
 
@@ -219,6 +222,46 @@ INSTANTIATE_TEST_SUITE_P(
     Board, DetectionSweep,
     ::testing::Combine(::testing::Range(0, 6),
                        ::testing::Values(201, 202, 203)));
+
+// E3's per-seed results for the two plant attacks, on bench_detection's
+// setup (seeds 100..104, launch at 30000 + 137 * i). The sensor and the
+// power sensor derive their state from the clock; these pin the read
+// phase (docs/SCHEDULER.md) through the whole node: the spoofed sample
+// the peripheral monitor first sees, and the glitch it polls.
+struct E3Pin {
+    sim::Cycle latency;
+    std::size_t evidence_records;
+};
+
+void expect_e3_pins(const std::function<std::unique_ptr<Attack>()>& make,
+                    const std::array<E3Pin, 5>& pins) {
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+        platform::ScenarioConfig config;
+        config.node.name = "det";
+        config.node.resilient = true;
+        config.warmup = 20000;
+        config.horizon = 100000;
+        config.seed = 100 + i;
+        platform::Scenario scenario(config);
+        const auto attack = make();
+        const auto r = scenario.run(attack.get(), 30000 + 137 * i);
+        ASSERT_TRUE(r.detection_latency.has_value()) << "seed " << 100 + i;
+        EXPECT_EQ(*r.detection_latency, pins[i].latency) << "seed " << 100 + i;
+        EXPECT_EQ(r.evidence_records, pins[i].evidence_records)
+            << "seed " << 100 + i;
+    }
+}
+
+TEST(E3Pins, SensorSpoofPerSeed) {
+    expect_e3_pins([] { return std::make_unique<SensorSpoofAttack>(); },
+                   {{{300, 1168}, {263, 1167}, {146, 1166}, {289, 1149},
+                     {252, 1148}}});
+}
+
+TEST(E3Pins, GlitchPerSeed) {
+    expect_e3_pins([] { return std::make_unique<GlitchAttack>(); },
+                   {{{50, 7}, {13, 7}, {26, 7}, {39, 7}, {2, 7}}});
+}
 
 }  // namespace
 }  // namespace cres::attack

@@ -318,16 +318,15 @@ TEST_F(DiftFixture, SourceAddressesAlwaysTainted) {
 
 class PeriphFixture : public ::testing::Test {
 protected:
-    PeriphFixture() : act("breaker", -100.0, 100.0),
-                      sensor("grid", [](sim::Cycle) { return 50.0; }, 10) {
+    PeriphFixture()
+        : act("breaker", -100.0, 100.0),
+          sensor("grid", sim, [](sim::Cycle) { return 50.0; }, 10) {
         bus.map(mem::RegionConfig{"breaker", 0x7000, 0x100, false, false},
                 act);
         monitor = std::make_unique<PeripheralMonitor>(sink, sim, bus);
         monitor->watch_actuator(
             "breaker", 0x7000 + dev::Actuator::kRegCommand,
             ActuatorEnvelope{-50.0, 50.0, 10.0, 8, 1000});
-        sim.add_tickable(&act);
-        sim.add_tickable(&sensor);
         sim.add_tickable(monitor.get());
     }
 
@@ -488,10 +487,9 @@ TEST(NetworkMon, FloodDetected) {
 TEST(EnvironmentMon, GlitchDetectedOnceAndRecovery) {
     CollectingSink sink;
     sim::Simulator sim;
-    dev::PowerSensor power("pwr", 3.3, 45.0);
+    dev::PowerSensor power("pwr", sim, 3.3, 45.0);
     EnvironmentMonitor monitor(sink, sim, power,
                                EnvironmentEnvelope{3.0, 3.6, -20, 85}, 10);
-    sim.add_tickable(&power);
     sim.add_tickable(&monitor);
 
     sim.run_for(100);
@@ -508,13 +506,89 @@ TEST(EnvironmentMon, GlitchDetectedOnceAndRecovery) {
 TEST(EnvironmentMon, ThermalExcursion) {
     CollectingSink sink;
     sim::Simulator sim;
-    dev::PowerSensor power("pwr", 3.3, 45.0);
+    dev::PowerSensor power("pwr", sim, 3.3, 45.0);
     EnvironmentMonitor monitor(sink, sim, power,
                                EnvironmentEnvelope{3.0, 3.6, -20, 85}, 10);
     sim.add_tickable(&monitor);
     power.set_temperature(120.0);
     sim.run_for(20);
     EXPECT_TRUE(sink.saw(EventCategory::kEnvironment, EventSeverity::kAlert));
+}
+
+// --- Read phase ---------------------------------------------------------------
+// The sensor and the power sensor are not ticked; their state follows
+// the clock. A bus access or an event during cycle `c` sees them as of
+// the start of `c`; a monitor polling during `c` also sees cycle `c`'s
+// sample or glitch end (docs/SCHEDULER.md, "Read phase").
+
+TEST(ReadPhase, BusSeesEarlierSamplesAndMonitorSeesThisCycles) {
+    CollectingSink sink;
+    sim::Simulator sim;
+    mem::Bus bus;
+    dev::Sensor sensor(
+        "grid", sim, [](sim::Cycle c) { return static_cast<double>(c); },
+        10);
+    bus.map(mem::RegionConfig{"grid", 0x7000, 0x100, false, false}, sensor);
+    PeripheralMonitor monitor(sink, sim, bus);
+    monitor.watch_sensor(sensor, SensorEnvelope{0.0, 5.0, 100.0}, 10);
+    sim.add_tickable(&monitor);
+
+    std::optional<std::uint32_t> seen;
+    sim.schedule_at(9, "read-samples", [&] {
+        seen = bus.read(0x7000 + dev::Sensor::kRegSamples, 4, kNormal);
+    });
+    sim.run_for(10);
+
+    ASSERT_TRUE(seen.has_value());
+    EXPECT_EQ(*seen, 0u);  // Cycle 9's sample is not taken yet.
+    ASSERT_EQ(sink.count(EventCategory::kPeripheral), 1u);
+    EXPECT_EQ(sink.events[0].at, 9u);
+    EXPECT_EQ(sink.events[0].severity, EventSeverity::kAlert);
+    EXPECT_EQ(sink.events[0].a, static_cast<std::uint64_t>(
+                                    static_cast<std::uint32_t>(
+                                        dev::to_fixed(9.0))));
+}
+
+TEST(ReadPhase, MonitorSeesGlitchEndInItsLastCycle) {
+    CollectingSink sink;
+    sim::Simulator sim;
+    dev::PowerSensor power("pwr", sim, 3.3, 45.0);
+    EnvironmentMonitor monitor(sink, sim, power,
+                               EnvironmentEnvelope{3.0, 3.6, -20, 85}, 10);
+    sim.add_tickable(&monitor);
+
+    sim.run_for(100);
+    power.inject_glitch(1.0, 40);  // Cycles 100..139.
+    sim.run_for(39);
+    EXPECT_TRUE(power.glitch_active());  // now() == 139.
+    sim.run_for(1);
+
+    ASSERT_EQ(sink.events.size(), 2u);
+    EXPECT_EQ(sink.events[0].at, 109u);
+    EXPECT_EQ(sink.events[0].severity, EventSeverity::kAlert);
+    EXPECT_EQ(sink.events[1].at, 139u);
+    EXPECT_EQ(sink.events[1].severity, EventSeverity::kInfo);
+}
+
+TEST(ReadPhase, ShorterPeriodPullsThePendingSampleIn) {
+    sim::Simulator sim;
+    mem::Bus bus;
+    dev::Sensor sensor(
+        "grid", sim, [](sim::Cycle c) { return static_cast<double>(c); },
+        100);
+    bus.map(mem::RegionConfig{"grid", 0x7000, 0x100, false, false}, sensor);
+    sim.schedule_at(50, "set-period", [&] {
+        (void)bus.write(0x7000 + dev::Sensor::kRegPeriod, 4, 10, kNormal);
+    });
+
+    sim.run_for(59);
+    EXPECT_EQ(sensor.samples(), 0u);
+    sim.run_for(1);
+    EXPECT_EQ(sensor.samples(), 1u);
+    EXPECT_NEAR(sensor.value(), 59.0, 1e-3);
+    sim.run_for(10);
+    EXPECT_EQ(sensor.samples(), 2u);
+    EXPECT_NEAR(sensor.value(), 69.0, 1e-3);
 }
 
 TEST(RedundancyMon, LockstepDivergenceDetected) {

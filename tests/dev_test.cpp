@@ -221,42 +221,45 @@ TEST(FixedPoint, RoundTrip) {
 }
 
 TEST(Sensor, SamplesSignalAtPeriod) {
-    Sensor sensor("s", [](sim::Cycle c) { return static_cast<double>(c); },
-                  10);
-    for (sim::Cycle c = 0; c < 25; ++c) sensor.tick(c);
+    sim::Simulator sim;
+    Sensor sensor("s", sim,
+                  [](sim::Cycle c) { return static_cast<double>(c); }, 10);
+    sim.run_for(25);
     EXPECT_EQ(sensor.samples(), 2u);
     EXPECT_NEAR(sensor.value(), 19.0, 1e-3);  // Sampled at c==19.
 }
 
 TEST(Sensor, SpoofOverridesSignal) {
-    Sensor sensor("s", [](sim::Cycle) { return 5.0; }, 1);
-    sensor.tick(0);
+    sim::Simulator sim;
+    Sensor sensor("s", sim, [](sim::Cycle) { return 5.0; }, 1);
+    sim.run_for(1);
     EXPECT_NEAR(sensor.value(), 5.0, 1e-3);
     sensor.set_spoof([](sim::Cycle) { return 99.0; });
-    sensor.tick(1);
+    sim.run_for(1);
     EXPECT_NEAR(sensor.value(), 99.0, 1e-3);
     EXPECT_NEAR(sensor.truth(1), 5.0, 1e-3);  // Physical truth unchanged.
     sensor.clear_spoof();
-    sensor.tick(2);
+    sim.run_for(1);
     EXPECT_NEAR(sensor.value(), 5.0, 1e-3);
 }
 
 TEST(Sensor, GuestReadsFixedPoint) {
-    Sensor sensor("s", [](sim::Cycle) { return -1.5; }, 1);
-    sensor.tick(0);
+    sim::Simulator sim;
+    Sensor sensor("s", sim, [](sim::Cycle) { return -1.5; }, 1);
+    sim.run_for(1);
     const auto raw = static_cast<std::int32_t>(read_reg(sensor,
                                                         Sensor::kRegData));
     EXPECT_NEAR(from_fixed(raw), -1.5, 1e-3);
 }
 
 TEST(Sensor, RejectsBadConstruction) {
-    EXPECT_THROW(Sensor("s", nullptr, 1), Error);
-    EXPECT_THROW(Sensor("s", [](sim::Cycle) { return 0.0; }, 0), Error);
+    sim::Simulator sim;
+    EXPECT_THROW(Sensor("s", sim, nullptr, 1), Error);
+    EXPECT_THROW(Sensor("s", sim, [](sim::Cycle) { return 0.0; }, 0), Error);
 }
 
 TEST(Actuator, RecordsAndClampsCommands) {
     Actuator act("a", -10.0, 10.0);
-    act.tick(100);
     write_reg(act, Actuator::kRegCommand,
               static_cast<std::uint32_t>(to_fixed(5.0)));
     write_reg(act, Actuator::kRegCommand,
@@ -266,7 +269,6 @@ TEST(Actuator, RecordsAndClampsCommands) {
     EXPECT_DOUBLE_EQ(act.history()[1].applied, 10.0);
     EXPECT_TRUE(act.history()[1].clamped);
     EXPECT_EQ(act.clamped_count(), 1u);
-    EXPECT_EQ(act.history()[0].at, 100u);
     EXPECT_DOUBLE_EQ(act.current(), 10.0);
     EXPECT_DOUBLE_EQ(act.total_travel(), 10.0);  // 0->5->10.
 }
@@ -362,7 +364,8 @@ TEST(Trng, ProducesVaryingWords) {
 }
 
 TEST(PowerSensor, NominalReadings) {
-    PowerSensor ps("pwr", 3.3, 45.0);
+    sim::Simulator sim;
+    PowerSensor ps("pwr", sim, 3.3, 45.0);
     EXPECT_NEAR(from_fixed(static_cast<std::int32_t>(
                     read_reg(ps, PowerSensor::kRegVoltage))),
                 3.3, 1e-3);
@@ -372,11 +375,14 @@ TEST(PowerSensor, NominalReadings) {
 }
 
 TEST(PowerSensor, GlitchIsTransient) {
-    PowerSensor ps("pwr", 3.3, 45.0);
+    sim::Simulator sim;
+    PowerSensor ps("pwr", sim, 3.3, 45.0);
     ps.inject_glitch(1.1, 3);
     EXPECT_TRUE(ps.glitch_active());
     EXPECT_NEAR(ps.voltage(), 1.1, 1e-9);
-    for (int i = 0; i < 3; ++i) ps.tick(static_cast<sim::Cycle>(i));
+    sim.run_for(2);
+    EXPECT_TRUE(ps.glitch_active());  // Cycle 2 is the glitch's last.
+    sim.run_for(1);
     EXPECT_FALSE(ps.glitch_active());
     EXPECT_NEAR(ps.voltage(), 3.3, 1e-9);
 }

@@ -12,7 +12,6 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
-#include <sstream>
 
 #include "attack/attacks.h"
 #include "attack/campaigns.h"
@@ -20,7 +19,6 @@
 #include "crypto/hmac.h"
 #include "obs/chrome_trace.h"
 #include "obs/flight_recorder.h"
-#include "obs/json_log.h"
 #include "obs/metrics.h"
 #include "obs/postmortem.h"
 #include "obs/span.h"
@@ -459,28 +457,6 @@ TEST(SpanTracer, CloseRecordsRecoverEvenWithoutExplicitMark) {
     EXPECT_TRUE(spans.close(id, 400));
     EXPECT_EQ(r.find_histogram("cres_csf_recover_latency_cycles")->sum(),
               300u);
-}
-
-// --- Structured log sink ----------------------------------------------------
-
-TEST(JsonLogSink, EmitsOneJsonObjectPerLine) {
-    std::ostringstream out;
-    Logger& logger = Logger::instance();
-    const LogLevel saved = logger.level();
-    logger.set_level(LogLevel::kDebug);
-    std::uint64_t cycle = 77;
-    logger.set_sink(json_log_sink(out, [&cycle] { return cycle; }));
-    log_warn("engine \"hot\"\n");
-    cycle = 78;
-    log_info("ok");
-    logger.set_sink(nullptr);  // Restore stderr for other tests.
-    logger.set_level(saved);
-
-    EXPECT_EQ(out.str(),
-              "{\"at\": 77, \"source\": \"log\", \"kind\": \"warn\", "
-              "\"severity\": 4, \"detail\": \"engine \\\"hot\\\"\\n\"}\n"
-              "{\"at\": 78, \"source\": \"log\", \"kind\": \"info\", "
-              "\"severity\": 6, \"detail\": \"ok\"}\n");
 }
 
 // --- Flight recorder ---------------------------------------------------------

@@ -1,10 +1,8 @@
-// Unit tests for the util library: bytes, hex, serialization, CRC, RNG.
+// Unit tests for the util library: bytes, hex, serialization, RNG.
 #include <gtest/gtest.h>
 
 #include "util/bytes.h"
-#include "util/crc32.h"
 #include "util/error.h"
-#include "util/log.h"
 #include "util/rng.h"
 #include "util/serial.h"
 
@@ -57,23 +55,6 @@ TEST(Bytes, CtEqual) {
     EXPECT_TRUE(ct_equal(a, b));
     EXPECT_FALSE(ct_equal(a, c));
     EXPECT_FALSE(ct_equal(a, d));
-}
-
-TEST(Crc32, KnownVector) {
-    // CRC-32("123456789") = 0xCBF43926 (classic check value).
-    EXPECT_EQ(crc32(to_bytes("123456789")), 0xcbf43926u);
-}
-
-TEST(Crc32, IncrementalMatchesOneShot) {
-    const Bytes data = to_bytes("the quick brown fox jumps over the lazy dog");
-    Crc32 inc;
-    inc.update(BytesView(data).subspan(0, 10));
-    inc.update(BytesView(data).subspan(10));
-    EXPECT_EQ(inc.value(), crc32(data));
-}
-
-TEST(Crc32, EmptyIsZero) {
-    EXPECT_EQ(crc32({}), 0u);
 }
 
 TEST(Serial, PrimitivesRoundTrip) {
@@ -248,31 +229,6 @@ TEST(Rng, ForkIndependent) {
     Rng parent(9);
     Rng child = parent.fork();
     EXPECT_NE(parent.next(), child.next());
-}
-
-TEST(Log, CapturedSinkReceivesMessages) {
-    auto& logger = Logger::instance();
-    const LogLevel old_level = logger.level();
-
-    std::vector<std::string> captured;
-    logger.set_level(LogLevel::kInfo);
-    logger.set_sink([&captured](LogLevel, std::string_view msg) {
-        captured.emplace_back(msg);
-    });
-
-    log_info("count=", 42);
-    log_debug("should be filtered");
-
-    logger.set_sink(nullptr);
-    logger.set_level(old_level);
-
-    ASSERT_EQ(captured.size(), 1u);
-    EXPECT_EQ(captured[0], "count=42");
-}
-
-TEST(Log, LevelNames) {
-    EXPECT_EQ(log_level_name(LogLevel::kError), "ERROR");
-    EXPECT_EQ(log_level_name(LogLevel::kTrace), "TRACE");
 }
 
 }  // namespace
