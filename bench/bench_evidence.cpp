@@ -60,11 +60,11 @@ Forensics investigate(bool resilient, bool reboot_happens,
             f.tamper_detectable = !copy.verify_chain();
         }
     } else {
-        f.total_records = node.trace.size();
-        for (const auto& r : node.trace.records()) {
+        f.total_records = node.recorder.size();
+        node.recorder.for_each([&f](const obs::FlightRecord& r) {
             if (r.at >= 30000) ++f.attack_window_records;
             if (r.at < 30000) f.pre_attack_history = true;
-        }
+        });
         f.chain_verifies = false;   // No integrity structure at all.
         f.seal_verifies = false;
         f.tamper_detectable = false;  // Edits are undetectable.

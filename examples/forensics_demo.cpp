@@ -59,13 +59,13 @@ int main() {
         std::cout << "--- device A (passive trust-based architecture) ---\n";
         std::cout << "secret leaked: " << r.leaked_bytes
                   << " bytes; reboots: " << r.reboots << "\n";
-        const auto& trace = scenario.node().trace;
-        std::cout << "investigator finds " << trace.size()
+        const auto& recorder = scenario.node().recorder;
+        std::cout << "investigator finds " << recorder.size()
                   << " volatile trace records\n";
         std::size_t attack_era = 0;
-        for (const auto& record : trace.records()) {
+        recorder.for_each([&attack_era](const obs::FlightRecord& record) {
             if (record.at >= 30000 && record.at < 80000) ++attack_era;
-        }
+        });
         std::cout << "records covering the breach window (30k-80k): "
                   << attack_era << " (the reboot wiped them)\n";
         std::cout << "integrity provable to a third party: no — plain "

@@ -12,6 +12,10 @@ ConfigMonitor::ConfigMonitor(EventSink& sink, const sim::Simulator& sim,
 
 void ConfigMonitor::snapshot_golden() {
     golden_ = bus_.regions();
+    // The bus matches the new golden, so the next audit has something
+    // to report only for regions still latched as drifted: restores.
+    compared_generation_ =
+        drifted_.empty() ? bus_.config_generation() : kUncompared;
 }
 
 void ConfigMonitor::tick(sim::Cycle now) {
@@ -19,6 +23,8 @@ void ConfigMonitor::tick(sim::Cycle now) {
     next_audit_ = now + period_;
     if (golden_.empty()) return;
     note_poll(now);
+    if (bus_.config_generation() == compared_generation_) return;
+    compared_generation_ = bus_.config_generation();
 
     const auto current = bus_.regions();
     for (const auto& gold : golden_) {

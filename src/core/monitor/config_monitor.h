@@ -3,6 +3,10 @@
 // then periodically re-audits it. Detects the bus-attribute tampering
 // attack of [34], which no transaction-level monitor can see (the
 // tampered accesses are "legal" once the attribute has been cleared).
+// An audit compares regions only when the bus configuration generation
+// has moved since the last comparison: only map() and
+// set_secure_only() change a RegionConfig, and both bump it, so a
+// skipped comparison could not have reported anything.
 #pragma once
 
 #include <set>
@@ -39,11 +43,16 @@ public:
     }
 
 private:
+    static constexpr std::uint64_t kUncompared = ~std::uint64_t{0};
+
     const sim::Simulator& sim_;
     mem::Bus& bus_;
     sim::Cycle period_;
     sim::Cycle next_audit_;
     std::vector<mem::RegionConfig> golden_;
+    /// Bus::config_generation() at the last comparison (or golden
+    /// snapshot); kUncompared forces the next audit to compare.
+    std::uint64_t compared_generation_ = kUncompared;
     std::set<std::string> drifted_;  ///< Latched per-region (one event each).
     std::uint64_t drifts_ = 0;
 };

@@ -13,8 +13,9 @@
 // doubles as records arrive, never past the capacity, so a recorder
 // allocates at most ceil(log2 capacity) + 1 times and its memory
 // follows the records it holds. Once the ring reaches the capacity,
-// each record evicts the oldest (bounded black-box capture, unlike the
-// unbounded sim::TraceStream).
+// each record evicts the oldest (bounded black-box capture). On a
+// passive node, which has no SSM, the ring is the node's volatile
+// telemetry, and a reboot clears it (platform/node.h).
 #pragma once
 
 #include <array>

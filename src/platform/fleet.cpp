@@ -140,7 +140,12 @@ void Fleet::schedule_pump(Node& node) {
 
 void Fleet::run(sim::Cycle cycles) {
     pool_.parallel_for(devices_.size(), [&](std::size_t i) {
-        devices_[i]->node.run(cycles);
+        Device& device = *devices_[i];
+        device.node.run(cycles);
+        // The operator endpoint reads what it is sent (telemetry, late
+        // quotes) and keeps nothing; frames_received() counts it all.
+        while (device.operator_nic.receive_frame()) {
+        }
     });
 }
 

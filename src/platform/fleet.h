@@ -160,7 +160,8 @@ public:
     /// the worker pool (each node's simulator is thread-confined to one
     /// worker for the whole call). Devices exchange traffic only with
     /// their own operator endpoint, so per-device state is independent
-    /// of scheduling.
+    /// of scheduling. After each device's run its operator endpoint
+    /// drains and discards what the device sent.
     void run(sim::Cycle cycles);
 
     /// Challenges every device and verifies its quote against the

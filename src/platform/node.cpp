@@ -33,7 +33,10 @@ Node::Node(NodeConfig config)
     build_memory_map();
     sim.set_quiescence(cfg.quiescence);
     cpu.set_check_elision(cfg.elide_proven_checks);
-    if (cfg.metrics) trace.bind_metrics(metrics);
+    if (!cfg.resilient && recorder.capacity() > 0) {
+        heartbeat_source_ = recorder.intern("os");
+        heartbeat_kind_ = recorder.intern("heartbeat");
+    }
 
     sim.add_tickable(&cpu);
     sim.add_tickable(&timer);
@@ -120,7 +123,12 @@ void Node::install_os_services() {
             case kSvcHeartbeat:
                 ++stats_.control_iterations;
                 if (timing_monitor) timing_monitor->heartbeat("control-loop");
-                trace.emit(sim.now(), "os", "heartbeat");
+                if (!cfg.resilient) {
+                    recorder.record(sim.now(), heartbeat_source_,
+                                    heartbeat_kind_, /*severity=*/0,
+                                    obs::FlightRecordType::kInstant, 0, 0,
+                                    {});
+                }
                 return true;
             case kSvcPutc: {
                 std::uint32_t io = core.reg(1) & 0xff;
@@ -231,7 +239,6 @@ void Node::build_security_engine(Bytes seal_key) {
     ctx.sim = &sim;
     ctx.operator_alert = [this](const std::string& message) {
         ++stats_.operator_alerts;
-        trace.emit(sim.now(), "response", "operator-alert", message);
         recorder.record_slow(sim.now(), "response", "operator-alert",
                              /*severity=*/2, obs::FlightRecordType::kInstant,
                              0, 0, message);
@@ -326,8 +333,13 @@ void Node::provision(const crypto::MerklePublicKey& vendor_pk,
         // attempts, bad signatures, garbage images) lands here as an
         // advisory the fleet tier can correlate into downgrade waves.
         if (status == boot::UpdateStatus::kPolicyRejected) return;
-        trace.emit(sim.now(), "boot", "update-rejected",
-                   update_status_name(status) + ": " + name);
+        if (!cfg.resilient) {
+            recorder.record_slow(sim.now(), "boot", "update-rejected",
+                                 /*severity=*/1,
+                                 obs::FlightRecordType::kInstant, offered,
+                                 floor,
+                                 update_status_name(status) + ": " + name);
+        }
         if (!ssm) return;
         core::MonitorEvent event;
         event.at = sim.now();
@@ -368,18 +380,20 @@ void Node::provision(const crypto::MerklePublicKey& vendor_pk,
                         .inc(report.proofs->certificates.size());
                 }
             }
-            trace.emit(sim.now(), "boot",
-                       rejected ? "image-rejected" : "image-verified",
-                       image.name + ": " + report.summary());
+            // A rejection is recorded on every node; an admission only
+            // in a passive node's volatile telemetry.
+            if (rejected || !cfg.resilient) {
+                recorder.record_slow(
+                    sim.now(), "boot",
+                    rejected ? "image-rejected" : "image-verified",
+                    /*severity=*/rejected ? 3 : 0,
+                    obs::FlightRecordType::kInstant, report.errors(),
+                    report.warnings(), image.name + ": " + report.summary());
+            }
             // kWarn mode admits flawed images; run them interpreted so
             // the fast path never executes code the verifier distrusts.
             if (report.errors() != 0) translation_vetoed_ = true;
             if (!rejected) return;
-            recorder.record_slow(sim.now(), "boot", "image-rejected",
-                                 /*severity=*/3,
-                                 obs::FlightRecordType::kInstant,
-                                 report.errors(), report.warnings(),
-                                 image.name + ": " + report.summary());
             if (ssm) {
                 core::MonitorEvent event;
                 event.at = sim.now();
@@ -433,8 +447,13 @@ boot::BootReport Node::secure_boot(
     translation_vetoed_ = false;
     const boot::BootReport report =
         rom->boot_chain(chain, app_ram, kAppRamBase, pcrs);
-    trace.emit(sim.now(), "boot", report.success ? "boot-ok" : "boot-fail",
-               report.summary());
+    if (!cfg.resilient) {
+        recorder.record_slow(sim.now(), "boot",
+                             report.success ? "boot-ok" : "boot-fail",
+                             /*severity=*/report.success ? 0 : 3,
+                             obs::FlightRecordType::kInstant, 0, 0,
+                             report.summary());
+    }
     if (report.success) {
         entry_ = report.entry_point;
         stats_.downtime_cycles += report.verification_cost_cycles;
@@ -548,14 +567,13 @@ void Node::reboot(const std::string& reason) {
     ++stats_.reboots;
     stats_.downtime_cycles += cfg.reboot_downtime;
     cpu.halt();
-    trace.emit(sim.now(), "system", "reboot", reason);
     recorder.record_slow(sim.now(), "system", "reboot", /*severity=*/2,
                          obs::FlightRecordType::kInstant, 0, 0, reason);
 
     if (!cfg.resilient) {
         // Volatile telemetry dies with the reset — the passive
         // platform's evidence-loss failure mode.
-        trace.clear();
+        recorder.clear();
     }
 
     sim.schedule_in(cfg.reboot_downtime, "reboot: " + reason, [this] {

@@ -62,7 +62,6 @@
 #include "platform/memmap.h"
 #include "platform/translation_cache.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 #include "tee/tee.h"
 
 namespace cres::platform {
@@ -175,8 +174,9 @@ public:
 
     /// Watchdog/response-triggered reboot: CPU stalls for
     /// reboot_downtime cycles, then restarts at the last entry point.
-    /// On the passive platform this also wipes the volatile trace —
-    /// the evidence-loss failure mode the paper calls out.
+    /// On the passive platform this also wipes the flight recorder,
+    /// its volatile telemetry — the evidence-loss failure mode the
+    /// paper calls out.
     void reboot(const std::string& reason);
 
     // --- Resilience wiring (only present when config.resilient) ----------
@@ -226,14 +226,14 @@ public:
     /// Declared before the devices: the sensor and the power sensor
     /// derive their state from this clock.
     sim::Simulator sim;
-    sim::TraceStream trace;  ///< Volatile telemetry (passive platforms).
     /// Cycle-accurate metrics; security components bind at provision
-    /// when cfg.metrics and cfg.resilient; the trace stream's growth
-    /// gauges bind whenever cfg.metrics.
+    /// when cfg.metrics and cfg.resilient.
     obs::MetricsRegistry metrics;
     /// Always-on black box (bounded ring; capacity from config, 0 =
     /// disabled). Monitors and the SSM bind to it on resilient nodes;
-    /// rare platform events (reboot, operator alert) land directly.
+    /// rare platform events (reboot, operator alert, image reject)
+    /// land directly. On a passive node it is the volatile telemetry:
+    /// heartbeats, boot and update outcomes, wiped by every reboot.
     obs::FlightRecorder recorder;
     /// Bounded SIEM staging buffer the SSM frames records into; the
     /// fleet export layer drains it deterministically (obs/siem.h).
@@ -307,6 +307,10 @@ private:
     void build_security_engine(Bytes seal_key);
 
     NodeStats stats_;
+    /// Recorder ids of a passive node's heartbeat record, interned at
+    /// construction so a heartbeat costs one ring write.
+    std::uint16_t heartbeat_source_ = 0;
+    std::uint16_t heartbeat_kind_ = 0;
     mem::Addr entry_ = kCodeBase;
     bool telemetry_enabled_ = true;
     bool rebooting_ = false;

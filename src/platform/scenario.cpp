@@ -153,14 +153,14 @@ ScenarioResult Scenario::run(attack::Attack* attack, sim::Cycle attack_at) {
             }
         }
     } else {
-        // Passive platform: its "evidence" is the volatile trace.
-        result.evidence_records = node_->trace.size();
+        // Passive platform: its "evidence" is the volatile recorder.
+        result.evidence_records = node_->recorder.size();
         result.evidence_chain_ok = false;  // No integrity protection at all.
-        for (const auto& record : node_->trace.records()) {
+        node_->recorder.for_each([&](const obs::FlightRecord& record) {
             if (attack != nullptr && record.at >= t_attack) {
                 ++result.attack_window_records;
             }
-        }
+        });
     }
     result.operator_alerts = node_->stats().operator_alerts;
     result.attack_succeeded = attack != nullptr && attack->succeeded();

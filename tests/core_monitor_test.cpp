@@ -4,6 +4,7 @@
 
 #include "core/monitor/bus_monitor.h"
 #include "core/monitor/cfi_monitor.h"
+#include "core/monitor/config_monitor.h"
 #include "core/monitor/dift_monitor.h"
 #include "core/monitor/environment_monitor.h"
 #include "core/monitor/memory_monitor.h"
@@ -513,6 +514,82 @@ TEST(EnvironmentMon, ThermalExcursion) {
     power.set_temperature(120.0);
     sim.run_for(20);
     EXPECT_TRUE(sink.saw(EventCategory::kEnvironment, EventSeverity::kAlert));
+}
+
+// --- Config monitor ---------------------------------------------------------
+// Audits every 200 cycles; it compares regions only when the bus
+// configuration generation has moved since the last comparison.
+
+class ConfigMonFixture : public ::testing::Test {
+protected:
+    ConfigMonFixture() : ram("ram", 0x1000), secret("secret", 0x100) {
+        bus.map(mem::RegionConfig{"ram", 0x0, 0x1000, false, false}, ram);
+        bus.map(mem::RegionConfig{"secret", 0x8000, 0x100, true, false},
+                secret);
+        monitor.bind_metrics(registry);
+        monitor.snapshot_golden();
+    }
+
+    /// Runs the audits due at `first`, `first + 200`, ... up to `last`.
+    void audit(sim::Cycle first, sim::Cycle last) {
+        for (sim::Cycle c = first; c <= last; c += 200) monitor.tick(c);
+    }
+
+    [[nodiscard]] std::uint64_t polls() const {
+        return registry
+            .find_counter("cres_monitor_polls_total{monitor=\"config-monitor\"}")
+            ->value();
+    }
+
+    CollectingSink sink;
+    sim::Simulator sim;
+    mem::Bus bus;
+    mem::Ram ram;
+    mem::Ram secret;
+    obs::MetricsRegistry registry;
+    ConfigMonitor monitor{sink, sim, bus, 200};
+};
+
+TEST_F(ConfigMonFixture, DriftReportedAtFirstAuditAndRestoreFollowsRevert) {
+    audit(200, 400);
+    EXPECT_TRUE(sink.events.empty());
+
+    ASSERT_TRUE(bus.set_secure_only("secret", false));
+    audit(600, 600);
+    ASSERT_EQ(sink.events.size(), 1u);
+    EXPECT_EQ(sink.events[0].severity, EventSeverity::kCritical);
+    EXPECT_EQ(sink.events[0].resource, "secret");
+    EXPECT_EQ(monitor.drifts_detected(), 1u);
+
+    audit(800, 1000);  // Latched: no repeat while the drift persists.
+    EXPECT_EQ(sink.events.size(), 1u);
+
+    ASSERT_TRUE(bus.set_secure_only("secret", true));
+    audit(1200, 1200);
+    ASSERT_EQ(sink.events.size(), 2u);
+    EXPECT_EQ(sink.events[1].severity, EventSeverity::kInfo);
+    EXPECT_EQ(sink.events[1].resource, "secret");
+    EXPECT_EQ(sink.events[1].at, 1200u);
+}
+
+TEST_F(ConfigMonFixture, ChangeRevertedBetweenAuditsIsSilent) {
+    audit(200, 200);
+    ASSERT_TRUE(bus.set_secure_only("secret", false));
+    ASSERT_TRUE(bus.set_secure_only("secret", true));
+    audit(400, 1000);
+    EXPECT_TRUE(sink.events.empty());
+    EXPECT_EQ(monitor.drifts_detected(), 0u);
+}
+
+TEST_F(ConfigMonFixture, SkippedAuditsStillCountAsPolls) {
+    audit(200, 1000);  // Nothing moved: every comparison is skipped.
+    EXPECT_EQ(polls(), 5u);
+    const auto* gaps = registry.find_histogram(
+        "cres_monitor_poll_gap_cycles{monitor=\"config-monitor\"}");
+    ASSERT_NE(gaps, nullptr);
+    EXPECT_EQ(gaps->count(), 4u);
+    EXPECT_EQ(gaps->min(), 200u);
+    EXPECT_EQ(gaps->max(), 200u);
 }
 
 // --- Read phase ---------------------------------------------------------------

@@ -122,6 +122,22 @@ TEST(Fleet, WireSweepFlagsImplant) {
     EXPECT_EQ(sweep.flagged, 1u);
 }
 
+TEST(Fleet, RunDrainsOperatorEndpointSoLateQuotesAreNotRead) {
+    Fleet fleet(small_fleet(true));
+    fleet.run(10200);
+    // The devices pump their NICs every 500 cycles (next at 10500), so
+    // a 100-cycle timeout leaves every challenge unanswered.
+    const SweepResult cut_short = fleet.attestation_sweep_wire(100);
+    EXPECT_EQ(cut_short.trusted, 0u);
+    // The late quotes go out during this run; the operator endpoint
+    // drains them with the telemetry, so the next sweep reads only the
+    // answer to its own challenge.
+    fleet.run(2000);
+    const SweepResult sweep = fleet.attestation_sweep_wire();
+    EXPECT_EQ(sweep.trusted, fleet.size());
+    EXPECT_EQ(sweep.flagged, 0u);
+}
+
 TEST(Fleet, DevicesAreIndependent) {
     Fleet fleet(small_fleet(true));
     attack::TaskHangAttack attack;

@@ -24,7 +24,6 @@
 #include "obs/span.h"
 #include "platform/fleet.h"
 #include "platform/scenario.h"
-#include "sim/trace.h"
 
 namespace cres::obs {
 namespace {
@@ -658,35 +657,6 @@ TEST(Monitor, FirstPollContributesNoGapSample) {
         r.find_counter("cres_monitor_polls_total{monitor=\"probe\"}");
     ASSERT_NE(polls, nullptr);
     EXPECT_EQ(polls->value(), 2u);
-}
-
-// --- Trace-stream growth gauges ---------------------------------------------
-
-TEST(TraceStream, GrowthGaugesTrackEmitsAndBacklog) {
-    sim::TraceStream stream;
-    stream.emit(1, "cpu", "step", "pre-bind");  // Backlog before binding.
-
-    MetricsRegistry r;
-    stream.bind_metrics(r);
-    const auto* records = r.find_gauge("cres_trace_records");
-    const auto* bytes = r.find_gauge("cres_trace_bytes_approx");
-    ASSERT_NE(records, nullptr);
-    ASSERT_NE(bytes, nullptr);
-    EXPECT_EQ(records->value(), 1);  // Late binding reports the backlog.
-    const std::int64_t bytes_one = bytes->value();
-    EXPECT_GE(bytes_one,
-              static_cast<std::int64_t>(sizeof(sim::TraceRecord)));
-
-    stream.emit(2, "cpu", "step");
-    EXPECT_EQ(records->value(), 2);
-    EXPECT_GT(bytes->value(), bytes_one);
-    EXPECT_EQ(bytes->value(),
-              static_cast<std::int64_t>(stream.bytes_approx()));
-
-    stream.clear();  // Reboot wiping volatile telemetry.
-    EXPECT_EQ(records->value(), 0);
-    EXPECT_EQ(bytes->value(), 0);
-    EXPECT_EQ(records->max(), 2);  // High-water survives the wipe.
 }
 
 // --- Sealed postmortem bundles ----------------------------------------------

@@ -254,16 +254,18 @@ TEST(SsmKill, IsolationDecidesSurvival) {
 }
 
 TEST(Evidence, SurvivesOnResilientDiesOnPassive) {
-    // Passive: breach then watchdog-reboot wipes the volatile trace.
+    // Passive: breach then watchdog-reboot wipes the volatile recorder.
     Scenario passive(make_config(false));
     attack::TaskHangAttack hang;
     const auto rp = passive.run(&hang, 30000);
     EXPECT_GE(rp.reboots, 1u);
-    // Records from before the reboot are gone.
+    // Records from before the reboot are gone; the restarted task's
+    // heartbeats are all that is left.
+    EXPECT_GT(rp.evidence_records, 0u);
     bool pre_attack_record = false;
-    for (const auto& record : passive.node().trace.records()) {
+    passive.node().recorder.for_each([&](const obs::FlightRecord& record) {
         if (record.at < 30000) pre_attack_record = true;
-    }
+    });
     EXPECT_FALSE(pre_attack_record);
 
     // Resilient: the full pre/post-attack evidence stream survives and
@@ -283,6 +285,111 @@ TEST(Evidence, SurvivesOnResilientDiesOnPassive) {
     EXPECT_TRUE(core::EvidenceLog::verify_seal(
         resilient.node().ssm->evidence(), seal,
         crypto::hkdf(to_bytes(""), {}, "", 32)) == false);  // Wrong key.
+}
+
+// --- Volatile telemetry: the passive node's flight recorder -------------
+
+/// A node provisioned and secure-booted into the signed control loop.
+std::unique_ptr<Node> booted_node(NodeConfig config) {
+    crypto::Hash256 seed{};
+    seed.fill(21);
+    crypto::MerkleSigner vendor(seed, 2);
+    auto node = std::make_unique<Node>(std::move(config));
+    node->provision(vendor.public_key(), to_bytes("device-root-telemetry"));
+
+    const isa::Program program = control_loop_program();
+    boot::FirmwareImage image;
+    image.name = "control-fw";
+    image.security_version = 1;
+    image.load_addr = program.origin;
+    image.entry_point = program.symbol("start");
+    image.payload = program.code;
+    boot::ImageSigner(vendor).sign(image);
+    EXPECT_TRUE(node->secure_boot({image}).success);
+    node->arm_resilience(program);
+    return node;
+}
+
+std::size_t count_kind(const obs::FlightRecorder& recorder,
+                       std::string_view kind) {
+    std::size_t n = 0;
+    recorder.for_each([&](const obs::FlightRecord& record) {
+        if (recorder.name(record.kind) == kind) ++n;
+    });
+    return n;
+}
+
+TEST(VolatileTelemetry, PassiveRecorderHoldsHeartbeatsUntilWatchdogReboot) {
+    NodeConfig config;
+    config.name = "passive-telemetry";
+    auto node = booted_node(config);
+    EXPECT_EQ(count_kind(node->recorder, "image-verified"), 1u);
+    EXPECT_EQ(count_kind(node->recorder, "boot-ok"), 1u);
+
+    node->run(20000);
+    const std::size_t heartbeats = count_kind(node->recorder, "heartbeat");
+    EXPECT_GT(heartbeats, 0u);
+    EXPECT_EQ(heartbeats, node->stats().control_iterations);
+    EXPECT_EQ(node->recorder.size(), heartbeats + 2);
+
+    // Hang the control task: the watchdog expires, and its reboot wipes
+    // the ring, the reboot record included.
+    attack::TaskHangAttack hang;
+    hang.launch(*node, node->sim.now());
+    for (int i = 0; i < 200 && node->stats().reboots == 0; ++i) {
+        node->run(100);
+    }
+    ASSERT_EQ(node->stats().reboots, 1u);
+    EXPECT_TRUE(node->recorder.empty());
+
+    // Past the downtime the chain re-verifies and heartbeats resume.
+    const sim::Cycle wiped_at = node->sim.now();
+    node->run(20000);
+    EXPECT_EQ(count_kind(node->recorder, "image-verified"), 1u);
+    EXPECT_GT(count_kind(node->recorder, "heartbeat"), 0u);
+    node->recorder.for_each([&](const obs::FlightRecord& record) {
+        EXPECT_GT(record.at, wiped_at);
+    });
+}
+
+TEST(VolatileTelemetry, ResilientRecorderHasNoHeartbeatsAndSurvivesReboot) {
+    NodeConfig config;
+    config.name = "resilient-telemetry";
+    config.resilient = true;
+    auto node = booted_node(config);
+    node->run(20000);
+    EXPECT_GT(node->stats().control_iterations, 0u);
+    node->reboot("maintenance");
+    node->run(config.reboot_downtime + 10000);
+
+    // A second reboot adds its record and wipes nothing: the first
+    // reboot's record and the monitor records since are still there.
+    const std::size_t before = node->recorder.size();
+    ASSERT_GT(before, 1u);
+    node->reboot("maintenance");
+    EXPECT_EQ(node->recorder.size(), before + 1);
+    EXPECT_EQ(count_kind(node->recorder, "reboot"), node->stats().reboots);
+    EXPECT_EQ(node->stats().reboots, 2u);
+    for (const std::string_view kind :
+         {"heartbeat", "boot-ok", "boot-fail", "image-verified"}) {
+        EXPECT_EQ(count_kind(node->recorder, kind), 0u) << kind;
+    }
+}
+
+TEST(VolatileTelemetry, ZeroCapacityPassiveNodeRecordsNothing) {
+    NodeConfig config;
+    config.name = "passive-dark";
+    config.flight_recorder_capacity = 0;
+    auto node = booted_node(config);
+    node->run(20000);
+    node->reboot("maintenance");
+    node->run(config.reboot_downtime + 10000);
+
+    EXPECT_GT(node->stats().control_iterations, 0u);
+    EXPECT_TRUE(node->recorder.empty());
+    EXPECT_EQ(node->recorder.total_emitted(), 0u);
+    EXPECT_EQ(node->recorder.allocated(), 0u);
+    EXPECT_TRUE(node->recorder.names().empty());
 }
 
 TEST(FirmwareDowngrade, UpdateAgentBlocksRuntimeDowngrade) {

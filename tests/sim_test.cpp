@@ -1,4 +1,4 @@
-// Simulation-kernel tests: event ordering, tickables, trace streams.
+// Simulation-kernel tests: event ordering, tickables.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "sim/simulator.h"
-#include "sim/trace.h"
 #include "util/error.h"
 
 namespace cres::sim {
@@ -437,28 +436,6 @@ TEST(Simulator, PastScheduleErrorNamesTheLabel) {
         EXPECT_NE(std::string(e.what()).find("late-label"),
                   std::string::npos);
     }
-}
-
-TEST(Trace, EmitAndQuery) {
-    TraceStream trace;
-    trace.emit(1, "cpu", "trap", "bus-fault", 0x100, 0);
-    trace.emit(2, "bus0", "write", "", 0x200, 42);
-    trace.emit(3, "cpu", "trap", "mpu-fault", 0x104, 0);
-
-    ASSERT_EQ(trace.size(), 3u);
-    const auto& records = trace.records();
-    EXPECT_EQ(records[0].kind, "trap");
-    EXPECT_EQ(records[1].source, "bus0");
-    EXPECT_EQ(records[1].b, 42u);
-    EXPECT_EQ(records[2].detail, "mpu-fault");
-}
-
-TEST(Trace, ClearModelsVolatileLoss) {
-    TraceStream trace;
-    trace.emit(1, "cpu", "x");
-    trace.clear();
-    EXPECT_TRUE(trace.empty());
-    EXPECT_EQ(trace.bytes_approx(), 0u);
 }
 
 }  // namespace
