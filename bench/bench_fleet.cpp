@@ -361,8 +361,8 @@ int main() {
     bench::section(
         "E13d — Quiescence speedup: WFI estate, per-cycle vs fast-forward");
     {
-        // Fixed size so the number is comparable across runs — this is
-        // the series the CI regression gate tracks.
+        // Fixed size, so the skip fraction is deterministic; CI gates
+        // it and the same-run speedup.
         constexpr std::size_t kDevices = 64;
         constexpr sim::Cycle kCycles = 50000;
 
@@ -709,8 +709,8 @@ int main() {
         // trace propagation on (the default), one with causal_tracing
         // off (v1 wire bytes, blind union-find fallback). Accuracy is
         // checked edge-for-edge against the campaign's own ground
-        // truth; the traced drain must stay within ~10% of the
-        // untraced baseline.
+        // truth. The traced estate must drain as many records as the
+        // untraced one, with an export at most ~2% larger.
         const std::size_t devices = e17_device_count();
         constexpr sim::Cycle kCycles = 20000;
 
@@ -723,6 +723,7 @@ int main() {
         const auto t1 = std::chrono::steady_clock::now();
         const std::size_t traced_records = traced.drain_siem();
         const double traced_drain_s = seconds_since(t1);
+        const std::size_t traced_bytes = traced.siem_stream().jsonl().size();
 
         // Accuracy vs ground truth: patient zero, depth and the exact
         // (parent, child, hop) edge set the campaign actually injected.
@@ -764,6 +765,8 @@ int main() {
         const auto t3 = std::chrono::steady_clock::now();
         const std::size_t untraced_records = untraced.drain_siem();
         const double untraced_drain_s = seconds_since(t3);
+        const std::size_t untraced_bytes =
+            untraced.siem_stream().jsonl().size();
 
         // Off-knob sanity: no trace bytes reach the reconstructor and
         // the union-find fallback still detects the campaign.
@@ -776,16 +779,18 @@ int main() {
         if (!exact || !off_clean) e17_ok = false;
 
         bench::Table table({"mode", "devices", "run (ms)", "drain (ms)",
-                            "records", "edges", "depth", "provenance"});
+                            "drain vs untraced", "records", "JSONL bytes",
+                            "edges", "depth", "provenance"});
         table.row("traced", devices,
                   bench::fmt_double(traced_run_s * 1e3, 1),
                   bench::fmt_double(traced_drain_s * 1e3, 1),
-                  traced_records, report.edges.size(), report.max_hop,
+                  bench::fmt_double(drain_ratio, 2) + "x", traced_records,
+                  traced_bytes, report.edges.size(), report.max_hop,
                   exact ? "exact" : "MISSING");
         table.row("untraced", devices,
                   bench::fmt_double(untraced_run_s * 1e3, 1),
                   bench::fmt_double(untraced_drain_s * 1e3, 1),
-                  untraced_records, 0, 0,
+                  "(reference)", untraced_records, untraced_bytes, 0, 0,
                   off_clean ? "union-find" : "MISSING");
         table.print();
 
@@ -801,20 +806,23 @@ int main() {
         json.metric("e17_untraced_run_ms", untraced_run_s * 1e3);
         json.metric("e17_untraced_drain_ms", untraced_drain_s * 1e3);
         json.metric("e17_drain_overhead_ratio", drain_ratio);
+        json.count("e17_traced_records", traced_records);
+        json.count("e17_untraced_records", untraced_records);
+        json.count("e17_traced_jsonl_bytes", traced_bytes);
+        json.count("e17_untraced_jsonl_bytes", untraced_bytes);
         std::cout << "\nExpected shape: the reconstructed DAG matches the "
                      "campaign's ground truth edge-for-edge (provenance "
                      "reads exact), the off-knob estate falls back to the "
                      "blind union-find verdict with zero trace bytes, and "
-                     "the traced drain stays within ~10% of the untraced "
-                     "baseline — the extension costs 28 bytes per frame "
-                     "plus one branch per drained record.\n";
+                     "both estates drain the same records; tracing adds a "
+                     "trace object to the frame-borne ones, about 1% of "
+                     "the export's bytes. The drain's wall-clock ratio is "
+                     "shown for reference only: it varies by tens of "
+                     "percent between runs.\n";
     }
 
-    const char* path_env = std::getenv("CRES_BENCH_JSON");
-    const std::string path =
-        path_env != nullptr ? path_env : "BENCH_fleet.json";
-    if (json.write(path)) {
-        std::cout << "\nwrote " << path << "\n";
+    if (const char* path = std::getenv("CRES_BENCH_JSON")) {
+        if (json.write(path)) std::cout << "\nwrote " << path << "\n";
     }
     return (e13d_ok && e16_ok && e17_ok) ? 0 : 1;
 }

@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark): throughput of the substrate
-// primitives every experiment rests on — hashing, HMAC, AES, ChaCha20,
-// hash-based signatures, evidence appends, bus transactions and raw
-// CPU emulation speed.
+// primitives every experiment rests on — hashing, HMAC, hash-based
+// signatures, evidence appends, bus transactions and raw CPU emulation
+// speed.
 //
 // Before the google-benchmark suite runs, main() takes a self-timed
 // pass over the crypto hot path and writes BENCH_crypto.json (path
@@ -14,8 +14,6 @@
 
 #include "bench_util.h"
 #include "core/ssm/evidence.h"
-#include "crypto/aes.h"
-#include "crypto/chacha20.h"
 #include "crypto/hmac.h"
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
@@ -64,34 +62,6 @@ void BM_HmacSha256Keyed(benchmark::State& state) {
                             state.range(0));
 }
 BENCHMARK(BM_HmacSha256Keyed)->Arg(64)->Arg(4096);
-
-void BM_Aes128Ctr(benchmark::State& state) {
-    Rng rng(3);
-    const auto key = crypto::aes_key_from_bytes(rng.bytes(16));
-    const crypto::Aes128 aes(key);
-    const Bytes data = rng.bytes(static_cast<std::size_t>(state.range(0)));
-    crypto::Aes128Block nonce{};
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(aes.ctr_crypt(data, nonce));
-    }
-    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            state.range(0));
-}
-BENCHMARK(BM_Aes128Ctr)->Arg(1024)->Arg(16384);
-
-void BM_ChaCha20(benchmark::State& state) {
-    Rng rng(4);
-    crypto::ChaChaKey key;
-    rng.fill(key);
-    crypto::ChaChaNonce nonce{};
-    const Bytes data = rng.bytes(static_cast<std::size_t>(state.range(0)));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(crypto::chacha20_crypt(key, nonce, 0, data));
-    }
-    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            state.range(0));
-}
-BENCHMARK(BM_ChaCha20)->Arg(1024)->Arg(16384);
 
 void BM_WotsSign(benchmark::State& state) {
     crypto::Hash256 s1, s2;

@@ -126,6 +126,11 @@ public:
         entries_.emplace_back(std::move(key), format_double(value));
     }
 
+    /// An exact integer (metric() keeps 6 significant digits).
+    void count(std::string key, std::uint64_t value) {
+        entries_.emplace_back(std::move(key), std::to_string(value));
+    }
+
     void field(std::string key, const std::string& value) {
         entries_.emplace_back(std::move(key), quote(value));
     }

@@ -45,18 +45,14 @@ void BusMonitor::on_transaction(const mem::BusTransaction& txn) {
                  txn.region, "access to isolated region", txn.addr, 0);
             break;
         case mem::BusResponse::kDecodeError: {
-            decode_errors_.push_back(now);
-            while (!decode_errors_.empty() &&
-                   decode_errors_.front() + probe_window_ < now) {
-                decode_errors_.pop_front();
-            }
-            if (decode_errors_.size() >= probe_threshold_) {
+            const std::uint64_t errors =
+                decode_errors_.add(now, probe_window_);
+            if (errors >= probe_threshold_) {
                 emit(now, EventCategory::kBusViolation, EventSeverity::kAlert,
                      "address-space",
-                     "address-space probing: " +
-                         std::to_string(decode_errors_.size()) +
+                     "address-space probing: " + std::to_string(errors) +
                          " decode errors in window",
-                     txn.addr, decode_errors_.size());
+                     txn.addr, errors);
                 decode_errors_.clear();
             } else {
                 emit(now, EventCategory::kBusViolation,

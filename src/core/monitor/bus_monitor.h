@@ -6,11 +6,11 @@
 //    (e.g. the DMA engine reading key storage).
 #pragma once
 
-#include <deque>
 #include <map>
 #include <set>
 
 #include "core/monitor/monitor.h"
+#include "core/window.h"
 #include "mem/bus.h"
 #include "sim/simulator.h"
 
@@ -40,7 +40,7 @@ private:
     const sim::Simulator& sim_;
     mem::Bus& bus_;
     std::map<mem::Master, std::set<std::string>> allowlist_;
-    std::deque<sim::Cycle> decode_errors_;
+    SlidingWindow decode_errors_;
     std::uint32_t probe_threshold_ = 8;
     sim::Cycle probe_window_ = 1000;
 };

@@ -29,7 +29,7 @@ void MemoryMonitor::watch_sensitive(const std::string& name, mem::Addr base,
                                     std::uint32_t threshold,
                                     sim::Cycle window) {
     sensitive_.push_back(
-        SensitiveRange{name, base, size, threshold, window, {}, 0});
+        SensitiveRange{name, base, size, threshold, window, {}});
 }
 
 void MemoryMonitor::on_transaction(const mem::BusTransaction& txn) {
@@ -67,14 +67,8 @@ void MemoryMonitor::on_transaction(const mem::BusTransaction& txn) {
         for (auto& range : sensitive_) {
             if (txn.addr >= range.base &&
                 txn.addr < range.base + range.size) {
-                range.bytes_total += txn.size;
-                range.reads.emplace_back(now, txn.size);
-                while (!range.reads.empty() &&
-                       range.reads.front().first + range.window < now) {
-                    range.reads.pop_front();
-                }
-                std::uint64_t in_window = 0;
-                for (const auto& [at, n] : range.reads) in_window += n;
+                const std::uint64_t in_window =
+                    range.reads.add(now, range.window, txn.size);
                 if (in_window >= range.threshold) {
                     emit(now, EventCategory::kMemory, EventSeverity::kAlert,
                          range.name,

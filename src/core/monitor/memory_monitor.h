@@ -4,11 +4,11 @@
 //  - bulk-read patterns over sensitive regions (exfiltration staging).
 #pragma once
 
-#include <deque>
 #include <map>
 #include <set>
 
 #include "core/monitor/monitor.h"
+#include "core/window.h"
 #include "mem/bus.h"
 
 namespace cres::core {
@@ -48,8 +48,7 @@ private:
         std::uint32_t size;
         std::uint32_t threshold;
         sim::Cycle window;
-        std::deque<std::pair<sim::Cycle, std::uint32_t>> reads;
-        std::uint64_t bytes_total = 0;
+        SlidingWindow reads;  ///< Weighted by bytes read.
     };
 
     struct CodeRange {

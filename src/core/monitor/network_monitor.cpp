@@ -11,27 +11,17 @@ void NetworkMonitor::set_flood_threshold(std::uint32_t frames,
     flood_window_ = window;
 }
 
-void NetworkMonitor::set_replay_burst_threshold(std::uint32_t replays,
-                                                sim::Cycle window) {
-    replay_burst_ = replays;
-    replay_window_ = window;
-}
-
 void NetworkMonitor::note_rx(net::RecvStatus status, std::size_t frame_bytes,
                              std::uint64_t sequence,
                              const std::optional<net::TraceContext>& trace) {
     const sim::Cycle now = sim_.now();
     note_poll(now);
 
-    arrivals_.push_back(now);
-    while (!arrivals_.empty() && arrivals_.front() + flood_window_ < now) {
-        arrivals_.pop_front();
-    }
-    if (arrivals_.size() >= flood_frames_) {
+    const std::uint64_t frames = arrivals_.add(now, flood_window_);
+    if (frames >= flood_frames_) {
         emit(now, EventCategory::kNetwork, EventSeverity::kAlert, "link",
-             "frame flood: " + std::to_string(arrivals_.size()) +
-                 " frames in window",
-             arrivals_.size(), frame_bytes);
+             "frame flood: " + std::to_string(frames) + " frames in window",
+             frames, frame_bytes);
         arrivals_.clear();
     }
 
@@ -46,15 +36,11 @@ void NetworkMonitor::note_rx(net::RecvStatus status, std::size_t frame_bytes,
             // an active replay attack. `a` carries the replayed
             // sequence number — the fleet tier fingerprints coordinated
             // replay across devices with it.
-            replays_.push_back(now);
-            while (!replays_.empty() &&
-                   replays_.front() + replay_window_ < now) {
-                replays_.pop_front();
-            }
-            if (replays_.size() >= replay_burst_) {
+            const std::uint64_t replays = replays_.add(now, kReplayWindow);
+            if (replays >= kReplayBurst) {
                 emit(now, EventCategory::kNetwork, EventSeverity::kAlert,
                      "link",
-                     "replay burst: " + std::to_string(replays_.size()) +
+                     "replay burst: " + std::to_string(replays) +
                          " replayed frames in window",
                      sequence, frame_bytes);
                 replays_.clear();

@@ -3,9 +3,8 @@
 // bursts and frame floods.
 #pragma once
 
-#include <deque>
-
 #include "core/monitor/monitor.h"
+#include "core/window.h"
 #include "net/channel.h"
 
 namespace cres::core {
@@ -38,9 +37,6 @@ public:
     }
     /// Frames within `window` cycles before a flood alert.
     void set_flood_threshold(std::uint32_t frames, sim::Cycle window);
-    /// Replays within `window` cycles before the advisory-per-replay
-    /// escalates to an alert (default 3 in 20000).
-    void set_replay_burst_threshold(std::uint32_t replays, sim::Cycle window);
 
     [[nodiscard]] std::uint64_t auth_failures() const noexcept {
         return auth_failures_;
@@ -51,12 +47,14 @@ private:
     std::uint32_t streak_ = 0;
     std::uint32_t streak_threshold_ = 3;
     std::uint64_t auth_failures_ = 0;
-    std::deque<sim::Cycle> arrivals_;
+    SlidingWindow arrivals_;
     std::uint32_t flood_frames_ = 100;
     sim::Cycle flood_window_ = 10000;
-    std::deque<sim::Cycle> replays_;
-    std::uint32_t replay_burst_ = 3;
-    sim::Cycle replay_window_ = 20000;
+    /// Replays within `kReplayWindow` cycles before the advisory per
+    /// replay escalates to an alert.
+    static constexpr std::uint32_t kReplayBurst = 3;
+    static constexpr sim::Cycle kReplayWindow = 20000;
+    SlidingWindow replays_;
 };
 
 }  // namespace cres::core

@@ -57,20 +57,14 @@ void PeripheralMonitor::on_transaction(const mem::BusTransaction& txn) {
         }
         watch.last_command = command;
 
-        watch.recent_commands.push_back(now);
-        while (!watch.recent_commands.empty() &&
-               watch.recent_commands.front() + watch.envelope.rate_window <
-                   now) {
-            watch.recent_commands.pop_front();
-        }
-        if (watch.envelope.max_rate > 0 &&
-            watch.recent_commands.size() > watch.envelope.max_rate) {
+        const std::uint64_t commands =
+            watch.recent_commands.add(now, watch.envelope.rate_window);
+        if (watch.envelope.max_rate > 0 && commands > watch.envelope.max_rate) {
             emit(now, EventCategory::kPeripheral, EventSeverity::kAlert,
                  watch.region,
                  "actuator command rate exceeded (" +
-                     std::to_string(watch.recent_commands.size()) +
-                     " in window)",
-                 txn.addr, watch.recent_commands.size());
+                     std::to_string(commands) + " in window)",
+                 txn.addr, commands);
             watch.recent_commands.clear();
         }
     }

@@ -5,10 +5,10 @@
 //    that jumps outside the physical envelope is flagged.
 #pragma once
 
-#include <deque>
 #include <optional>
 
 #include "core/monitor/monitor.h"
+#include "core/window.h"
 #include "dev/actuator.h"
 #include "dev/sensor.h"
 #include "mem/bus.h"
@@ -69,7 +69,7 @@ private:
         mem::Addr command_addr;
         ActuatorEnvelope envelope;
         std::optional<double> last_command;
-        std::deque<sim::Cycle> recent_commands;
+        SlidingWindow recent_commands;
     };
     struct SensorWatch {
         dev::Sensor* sensor;

@@ -80,17 +80,13 @@ std::vector<const PolicyRule*> PolicyEngine::evaluate(
             }
             continue;
         }
-        auto& times = history_[i];
-        times.push_back(event.at);
-        if (rule.window > 0) {
-            while (!times.empty() && times.front() + rule.window < event.at) {
-                times.pop_front();
-            }
-        }
-        if (times.size() >= rule.threshold && !cooling) {
+        const sim::Cycle window =
+            rule.window > 0 ? rule.window : SlidingWindow::kNoExpiry;
+        if (history_[i].add(event.at, window) >= rule.threshold &&
+            !cooling) {
             fired.push_back(&rule);
             last_fired_[i] = event.at;
-            times.clear();
+            history_[i].clear();
         }
     }
     return fired;

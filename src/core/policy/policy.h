@@ -15,13 +15,13 @@
 //                    -> isolate-resource, zeroise-keys
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/action.h"
 #include "core/event.h"
+#include "core/window.h"
 
 namespace cres::core {
 
@@ -58,8 +58,8 @@ public:
 
 private:
     std::vector<PolicyRule> rules_;
-    // Per-rule timestamps of matching events (for windowed thresholds).
-    std::vector<std::deque<sim::Cycle>> history_;
+    // Per-rule matching events (for windowed thresholds).
+    std::vector<SlidingWindow> history_;
     // Per-rule time of last firing (for cooldowns).
     std::vector<std::optional<sim::Cycle>> last_fired_;
 };

@@ -22,7 +22,7 @@ const std::vector<Capability>& capability_registry() {
          "ROM-verified signed images, measured boot, anti-rollback",
          "boot (BootRom, PcrBank, MonotonicCounterBank)"},
         {"protect", "cryptographic protection",
-         "SHA-256, HMAC, HKDF, AES-128, ChaCha20, WOTS+/Merkle signatures",
+         "SHA-256, HMAC, HKDF, WOTS+/Merkle signatures",
          "crypto"},
         {"protect", "resource isolation & segregation",
          "secure/non-secure bus attributes, MPU with W^X, TEE services",

@@ -46,19 +46,4 @@ void DegradationManager::restore() {
     if (m_degraded_ != nullptr) m_degraded_->set(0);
 }
 
-bool DegradationManager::service_enabled(const std::string& name) const {
-    for (const auto& s : services_) {
-        if (s.name == name) return s.enabled;
-    }
-    return false;
-}
-
-std::size_t DegradationManager::critical_count() const {
-    std::size_t n = 0;
-    for (const auto& s : services_) {
-        if (s.critical) ++n;
-    }
-    return n;
-}
-
 }  // namespace cres::core

@@ -30,11 +30,6 @@ public:
     void restore();
 
     [[nodiscard]] bool degraded() const noexcept { return degraded_; }
-    [[nodiscard]] bool service_enabled(const std::string& name) const;
-    [[nodiscard]] std::size_t service_count() const noexcept {
-        return services_.size();
-    }
-    [[nodiscard]] std::size_t critical_count() const;
 
 private:
     struct Service {

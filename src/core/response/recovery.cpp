@@ -34,7 +34,6 @@ const Checkpoint& RecoveryManager::take_checkpoint(sim::Cycle now) {
     cp.digest = h.finish();
 
     checkpoint_ = std::move(cp);
-    ++taken_;
     if (m_checkpoints_ != nullptr) m_checkpoints_->inc();
     return *checkpoint_;
 }

@@ -49,9 +49,6 @@ public:
     /// checkpoint exists.
     bool restore(sim::Cycle now);
 
-    [[nodiscard]] std::uint32_t checkpoints_taken() const noexcept {
-        return taken_;
-    }
     [[nodiscard]] std::uint32_t restores() const noexcept { return restores_; }
 
     /// Invoked after every successful restore (e.g. to clear the CFI
@@ -65,7 +62,6 @@ private:
     mem::Ram& ram_;
     std::function<void()> post_restore_;
     std::optional<Checkpoint> checkpoint_;
-    std::uint32_t taken_ = 0;
     std::uint32_t restores_ = 0;
 
     // --- Observability (null until bind_metrics) -------------------------

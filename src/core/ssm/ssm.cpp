@@ -289,12 +289,6 @@ void SystemSecurityManager::skip(sim::Cycle now, sim::Cycle cycles) {
     if (m_queue_depth_per_poll_ != nullptr) {
         m_queue_depth_per_poll_->record_many(0, polls);
     }
-    if (recorder_ != nullptr && last_queue_recorded_ != 0) {
-        last_queue_recorded_ = 0;
-        recorder_->record(first, rec_source_, rec_queue_, 0,
-                          obs::FlightRecordType::kCounter, 0, 0, {});
-    }
-    if (m_queue_depth_ != nullptr) m_queue_depth_->set(0);
     next_poll_ = first + polls * config_.poll_interval;
 }
 

@@ -119,9 +119,10 @@ public:
 
     /// Quiescence: a disabled SSM never acts; with events queued it
     /// wakes at the next poll deadline; with an empty queue the poll
-    /// carries no decision, so skip() replays every elided poll
-    /// (queue-depth histogram samples, the change-guarded recorder
-    /// track, the depth gauge) bit-exactly instead of waking.
+    /// carries no decision, so skip() replays every elided poll as a
+    /// zero queue-depth histogram sample instead of waking. The
+    /// change-guarded recorder track and the depth gauge already read
+    /// 0 after every poll, so a skipped empty poll leaves them as is.
     [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) override;
     void skip(sim::Cycle now, sim::Cycle cycles) override;
 

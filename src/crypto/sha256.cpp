@@ -265,10 +265,6 @@ const char* sha256_backend() noexcept {
     return kBackend.name;
 }
 
-Bytes hash_to_bytes(const Hash256& h) {
-    return Bytes(h.begin(), h.end());
-}
-
 Hash256 hash_from_bytes(BytesView data) {
     if (data.size() != 32) {
         throw CryptoError("hash_from_bytes: expected 32 bytes");

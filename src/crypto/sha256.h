@@ -20,9 +20,6 @@ namespace cres::crypto {
 /// A 256-bit digest.
 using Hash256 = std::array<std::uint8_t, 32>;
 
-/// Converts a digest to an owning byte buffer.
-Bytes hash_to_bytes(const Hash256& h);
-
 /// Parses a 32-byte buffer into a digest. Throws CryptoError on size.
 Hash256 hash_from_bytes(BytesView data);
 

@@ -17,9 +17,6 @@ public:
     static constexpr mem::Addr kRegData = 0x00;
     static constexpr mem::Addr kRegReads = 0x04;
 
-    /// Host-side entropy draw (used by the boot ROM to seed the DRBG).
-    Bytes random_bytes(std::size_t n) { return rng_.bytes(n); }
-
 protected:
     mem::BusResponse read_reg(mem::Addr offset, std::uint32_t& out,
                               const mem::BusAttr& attr) override;

@@ -85,10 +85,6 @@ void Cpu::raise_irq(unsigned line) {
     waiting_ = false;
 }
 
-void Cpu::clear_irq(unsigned line) noexcept {
-    if (line < 32) csrs_[kCsrMip] &= ~(1u << line);
-}
-
 void Cpu::add_observer(CpuObserver* observer) {
     if (observer == nullptr) throw IsaError("Cpu::add_observer: null");
     observers_.push_back(observer);
@@ -830,9 +826,6 @@ void Cpu::exec_one(const Uop& u, mem::Addr insn_pc) {
                 break;
             }
             csrs_[u.imm] = reg(u.rs1);
-            for (CpuObserver* o : observers_) {
-                o->on_csr_write(u.imm, reg(u.rs1));
-            }
             break;
         }
         case UopKind::kWfi:

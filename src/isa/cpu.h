@@ -4,8 +4,7 @@
 // privilege (machine/user), security state (secure/non-secure world),
 // MPU-checked memory accesses, traps, interrupts, CSRs and cycle
 // accounting. Monitors attach as CpuObservers; they see calls/returns
-// (for control-flow integrity), traps, halts, CSR writes and world
-// switches.
+// (for control-flow integrity), traps, halts and world switches.
 //
 // Execution tiers (docs/EXECUTION.md has the full design):
 //   0. Interpreter — fetch through MPU+bus, decode, execute. Always
@@ -58,10 +57,6 @@ public:
     }
     virtual void on_halt(mem::Addr pc) { (void)pc; }
     virtual void on_world_switch(bool secure) { (void)secure; }
-    virtual void on_csr_write(std::uint16_t csr, std::uint32_t value) {
-        (void)csr;
-        (void)value;
-    }
 };
 
 /// Optional OS-service hook: when set, an ecall is first offered to the
@@ -182,7 +177,6 @@ public:
 
     // --- Interrupts -----------------------------------------------------
     void raise_irq(unsigned line);
-    void clear_irq(unsigned line) noexcept;
 
     // --- Hooks ----------------------------------------------------------
     void add_observer(CpuObserver* observer);

@@ -18,18 +18,6 @@ std::string master_name(Master m) {
     return "?";
 }
 
-std::string response_name(BusResponse r) {
-    switch (r) {
-        case BusResponse::kOk: return "ok";
-        case BusResponse::kDecodeError: return "decode-error";
-        case BusResponse::kSecurityViolation: return "security-violation";
-        case BusResponse::kIsolated: return "isolated";
-        case BusResponse::kReadOnly: return "read-only";
-        case BusResponse::kDeviceError: return "device-error";
-    }
-    return "?";
-}
-
 void Bus::map(const RegionConfig& config, BusTarget& target) {
     if (config.size == 0) {
         throw MemError("Bus::map: zero-sized region " + config.name);

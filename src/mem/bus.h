@@ -47,8 +47,6 @@ enum class BusResponse : std::uint8_t {
     kDeviceError,        ///< Target-specific failure.
 };
 
-std::string response_name(BusResponse r);
-
 /// A completed transaction as seen by bus observers.
 struct BusTransaction {
     BusOp op = BusOp::kRead;

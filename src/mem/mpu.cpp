@@ -4,15 +4,6 @@
 
 namespace cres::mem {
 
-std::string access_type_name(AccessType t) {
-    switch (t) {
-        case AccessType::kRead: return "read";
-        case AccessType::kWrite: return "write";
-        case AccessType::kExecute: return "execute";
-    }
-    return "?";
-}
-
 void Mpu::add_region(const MpuRegion& region) {
     if (locked_) throw MemError("Mpu: locked");
     if (region.size == 0) throw MemError("Mpu: zero-sized region");

@@ -14,8 +14,6 @@ namespace cres::mem {
 
 enum class AccessType : std::uint8_t { kRead, kWrite, kExecute };
 
-std::string access_type_name(AccessType t);
-
 struct MpuRegion {
     std::string name;
     Addr base = 0;

@@ -5,16 +5,6 @@
 
 namespace cres::net {
 
-std::string recv_status_name(RecvStatus status) {
-    switch (status) {
-        case RecvStatus::kOk: return "ok";
-        case RecvStatus::kMalformed: return "malformed";
-        case RecvStatus::kBadTag: return "bad-tag";
-        case RecvStatus::kReplay: return "replay";
-    }
-    return "?";
-}
-
 SecureChannel::SecureChannel(dev::Nic& nic, Bytes key)
     : nic_(nic), key_(std::move(key)), mac_(key_) {
     if (key_.empty()) throw NetError("SecureChannel: empty key");

@@ -32,8 +32,6 @@ enum class RecvStatus : std::uint8_t {
     kReplay,
 };
 
-std::string recv_status_name(RecvStatus status);
-
 struct Received {
     RecvStatus status = RecvStatus::kOk;
     std::uint64_t sequence = 0;
@@ -83,7 +81,6 @@ public:
     [[nodiscard]] const std::optional<TraceContext>& parent() const noexcept {
         return parent_;
     }
-    void clear_parent() noexcept { parent_.reset(); }
 
     // Telemetry.
     [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }

@@ -58,10 +58,6 @@ public:
                    std::string_view name, std::string_view category,
                    std::uint64_t ts, std::uint64_t id);
 
-    [[nodiscard]] std::size_t event_count() const noexcept {
-        return events_.size();
-    }
-
     /// The full artefact: {"displayTimeUnit": "ms", "traceEvents": [...]}.
     [[nodiscard]] std::string json() const;
 

@@ -78,11 +78,7 @@ bool SiemBuffer::push(SiemEvent event) {
 }
 
 std::vector<SiemEvent> SiemBuffer::drain() {
-    std::vector<SiemEvent> out;
-    out.reserve(events_.size());
-    for (SiemEvent& event : events_) out.push_back(std::move(event));
-    events_.clear();
-    return out;
+    return std::exchange(events_, {});
 }
 
 // --- SiemStream -----------------------------------------------------------

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -99,7 +98,7 @@ public:
 
 private:
     std::size_t capacity_;
-    std::deque<SiemEvent> events_;
+    std::vector<SiemEvent> events_;
     Counter* m_dropped_ = nullptr;
     std::uint64_t dropped_ = 0;
     std::uint64_t published_ = 0;  ///< Drops already in the counter.

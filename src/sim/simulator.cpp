@@ -17,7 +17,7 @@ void Simulator::remove_tickable(Tickable* component) noexcept {
 }
 
 void Simulator::schedule_at(Cycle at, std::string_view label,
-                            EventFn action) {
+                            std::function<void()> action) {
     if (at < now_) {
         throw SimError("schedule_at: cannot schedule in the past (" +
                        std::string(label) + ")");
@@ -26,7 +26,7 @@ void Simulator::schedule_at(Cycle at, std::string_view label,
 }
 
 void Simulator::schedule_in(Cycle delta, std::string_view label,
-                            EventFn action) {
+                            std::function<void()> action) {
     schedule_at(now_ + delta, label, std::move(action));
 }
 
@@ -35,7 +35,7 @@ void Simulator::fire_due_events() {
         // Move out before pop so the action may schedule more events.
         // Mutating `action` never reorders the heap: ordering depends
         // only on (at, seq).
-        EventFn action =
+        std::function<void()> action =
             std::move(const_cast<Event&>(events_.top()).action);
         events_.pop();
         ++events_fired_;

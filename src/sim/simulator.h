@@ -18,14 +18,10 @@
 // then skip()s every other component over the burst.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
+#include <functional>
 #include <queue>
 #include <string_view>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "util/error.h"
@@ -94,99 +90,6 @@ public:
     }
 };
 
-/// Move-only callable with small-buffer optimisation: event actions the
-/// size of a few captured pointers (the steady-state case — e.g. the
-/// fleet's nic-pump closure) are stored inline, so scheduling them
-/// allocates nothing. Larger callables fall back to the heap.
-class EventFn {
-public:
-    EventFn() noexcept = default;
-
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, EventFn> &&
-                  std::is_invocable_r_v<void, std::decay_t<F>&>>>
-    EventFn(F&& fn) {  // NOLINT(google-explicit-constructor)
-        using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= kInlineSize &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
-            ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
-            vtable_ = &inline_vtable<Fn>;
-        } else {
-            ::new (static_cast<void*>(storage_))
-                Fn*(new Fn(std::forward<F>(fn)));
-            vtable_ = &boxed_vtable<Fn>;
-        }
-    }
-
-    EventFn(EventFn&& other) noexcept { move_from(other); }
-    EventFn& operator=(EventFn&& other) noexcept {
-        if (this != &other) {
-            reset();
-            move_from(other);
-        }
-        return *this;
-    }
-    EventFn(const EventFn&) = delete;
-    EventFn& operator=(const EventFn&) = delete;
-    ~EventFn() { reset(); }
-
-    void operator()() { vtable_->invoke(storage_); }
-    [[nodiscard]] explicit operator bool() const noexcept {
-        return vtable_ != nullptr;
-    }
-
-private:
-    static constexpr std::size_t kInlineSize = 48;
-
-    struct VTable {
-        void (*invoke)(void* storage);
-        void (*relocate)(void* dst, void* src) noexcept;
-        void (*destroy)(void* storage) noexcept;
-    };
-
-    template <typename Fn>
-    static constexpr VTable inline_vtable{
-        [](void* s) { (*std::launder(reinterpret_cast<Fn*>(s)))(); },
-        [](void* dst, void* src) noexcept {
-            Fn* from = std::launder(reinterpret_cast<Fn*>(src));
-            ::new (dst) Fn(std::move(*from));
-            from->~Fn();
-        },
-        [](void* s) noexcept {
-            std::launder(reinterpret_cast<Fn*>(s))->~Fn();
-        }};
-
-    template <typename Fn>
-    static constexpr VTable boxed_vtable{
-        [](void* s) { (**std::launder(reinterpret_cast<Fn**>(s)))(); },
-        [](void* dst, void* src) noexcept {
-            Fn** from = std::launder(reinterpret_cast<Fn**>(src));
-            ::new (dst) Fn*(*from);
-        },
-        [](void* s) noexcept {
-            delete *std::launder(reinterpret_cast<Fn**>(s));
-        }};
-
-    void move_from(EventFn& other) noexcept {
-        vtable_ = other.vtable_;
-        if (vtable_ != nullptr) {
-            vtable_->relocate(storage_, other.storage_);
-            other.vtable_ = nullptr;
-        }
-    }
-    void reset() noexcept {
-        if (vtable_ != nullptr) {
-            vtable_->destroy(storage_);
-            vtable_ = nullptr;
-        }
-    }
-
-    alignas(std::max_align_t) unsigned char storage_[kInlineSize]{};
-    const VTable* vtable_ = nullptr;
-};
-
 /// The simulation kernel: owns the clock, the event queue and the list
 /// of per-cycle components. Not thread-safe and deliberately free of
 /// global state: every mutable field lives on the instance, so a
@@ -212,10 +115,12 @@ public:
     /// Schedules `action` to run at absolute cycle `at` (>= now).
     /// Events at the same cycle run in scheduling order. The label only
     /// names the event in the error raised for a cycle in the past.
-    void schedule_at(Cycle at, std::string_view label, EventFn action);
+    void schedule_at(Cycle at, std::string_view label,
+                     std::function<void()> action);
 
     /// Schedules `action` to run `delta` cycles from now.
-    void schedule_in(Cycle delta, std::string_view label, EventFn action);
+    void schedule_in(Cycle delta, std::string_view label,
+                     std::function<void()> action);
 
     /// Advances exactly one cycle: fires due events, then ticks all
     /// components.
@@ -258,7 +163,7 @@ private:
     struct Event {
         Cycle at;
         std::uint64_t seq;
-        EventFn action;
+        std::function<void()> action;
     };
     struct EventLater {
         bool operator()(const Event& a, const Event& b) const noexcept {

@@ -55,24 +55,20 @@ void Tee::provision_key(const std::string& name, BytesView key) {
 
 std::optional<Bytes> Tee::get_key(const std::string& name,
                                   const mem::BusAttr& requester) {
-    ++service_calls_;
     return read_object("key:" + name, requester);
 }
 
 void Tee::store(const std::string& name, BytesView data) {
-    ++service_calls_;
     write_object("obj:" + name, data);
 }
 
 std::optional<Bytes> Tee::load(const std::string& name,
                                const mem::BusAttr& requester) {
-    ++service_calls_;
     return read_object("obj:" + name, requester);
 }
 
 std::optional<Quote> Tee::quote(const boot::PcrBank& pcrs, BytesView nonce,
                                 const std::string& key_name) {
-    ++service_calls_;
     const auto key = read_object("key:" + key_name, kTeeAttr);
     if (!key) return std::nullopt;
 

@@ -73,10 +73,6 @@ public:
     [[nodiscard]] std::optional<Placement> placement(
         const std::string& name) const;
 
-    [[nodiscard]] std::uint64_t service_calls() const noexcept {
-        return service_calls_;
-    }
-
 private:
     [[nodiscard]] std::optional<Bytes> read_object(
         const std::string& name, const mem::BusAttr& requester);
@@ -87,7 +83,6 @@ private:
     mem::Addr size_;
     mem::Addr next_free_;
     std::map<std::string, Placement> directory_;
-    std::uint64_t service_calls_ = 0;
 };
 
 /// Verifier-side check of a quote.

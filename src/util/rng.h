@@ -1,6 +1,5 @@
 // Deterministic pseudo-random number generation for simulation and
-// test reproducibility. NOT a cryptographic generator — the crypto
-// library provides a ChaCha20-based DRBG for key material.
+// test reproducibility. NOT a cryptographic generator.
 #pragma once
 
 #include <cstdint>

@@ -91,6 +91,24 @@ TEST_F(BusMonFixture, IsolatedDecodeProbesOutsideWindowStayAdvisory) {
     EXPECT_EQ(sink.count(EventCategory::kBusViolation), 4u);
 }
 
+// Window boundary: a probe exactly `window` cycles after the oldest
+// still counts toward the threshold; one cycle later it has expired.
+TEST(BusMon, ProbeWindowBoundaryIsInclusive) {
+    const auto alerts_after = [](sim::Cycle gap) {
+        CollectingSink sink;
+        sim::Simulator sim;
+        mem::Bus bus;
+        BusMonitor monitor(sink, sim, bus);
+        monitor.set_probe_threshold(2, 100);
+        (void)bus.read(0x9000'0000, 4, kNormal);
+        sim.run_for(gap);
+        (void)bus.read(0x9000'0000, 4, kNormal);
+        return sink.saw(EventCategory::kBusViolation, EventSeverity::kAlert);
+    };
+    EXPECT_TRUE(alerts_after(100));
+    EXPECT_FALSE(alerts_after(101));
+}
+
 TEST_F(BusMonFixture, MasterAllowlistViolation) {
     monitor->allow_master(mem::Master::kDma, {"ram"});
     (void)bus.read(0x0, 4, kDma);  // Allowed.
@@ -261,6 +279,27 @@ TEST_F(MemMonFixture, SparseReadsBelowThresholdSilent) {
     EXPECT_FALSE(sink.saw(EventCategory::kMemory, EventSeverity::kAlert));
 }
 
+// Window boundary, weighted by bytes: a read exactly `window` cycles
+// after the oldest still counts; one cycle later it has expired.
+TEST(MemoryMon, BulkReadWindowBoundaryIsInclusive) {
+    const auto alerts_after = [](sim::Cycle gap) {
+        CollectingSink sink;
+        sim::Simulator sim;
+        mem::Bus bus;
+        mem::Ram data("data", 0x1000);
+        bus.map(mem::RegionConfig{"data", 0x4000, 0x1000, false, false},
+                data);
+        MemoryMonitor monitor(sink, sim, bus);
+        monitor.watch_sensitive("keyblock", 0x4800, 0x100, 8, 100);
+        (void)bus.read(0x4800, 4, kNormal);
+        sim.run_for(gap);
+        (void)bus.read(0x4804, 4, kNormal);
+        return sink.saw(EventCategory::kMemory, EventSeverity::kAlert);
+    };
+    EXPECT_TRUE(alerts_after(100));
+    EXPECT_FALSE(alerts_after(101));
+}
+
 class DiftFixture : public ::testing::Test {
 protected:
     DiftFixture() : ram("ram", 0x1000), nic_buf("nic", 0x100) {
@@ -367,6 +406,33 @@ TEST_F(PeriphFixture, SlewViolationAlert) {
 TEST_F(PeriphFixture, CommandFloodAlert) {
     for (int i = 0; i < 12; ++i) command(1.0);
     EXPECT_TRUE(sink.saw(EventCategory::kPeripheral, EventSeverity::kAlert));
+}
+
+// Window boundary: a command exactly `rate_window` cycles after the
+// oldest still counts toward the rate; one cycle later it has expired.
+TEST(PeripheralMon, CommandRateWindowBoundaryIsInclusive) {
+    const auto alerts_after = [](sim::Cycle gap) {
+        CollectingSink sink;
+        sim::Simulator sim;
+        mem::Bus bus;
+        dev::Actuator act("breaker", -100.0, 100.0);
+        bus.map(mem::RegionConfig{"breaker", 0x7000, 0x100, false, false},
+                act);
+        PeripheralMonitor monitor(sink, sim, bus);
+        monitor.watch_actuator("breaker", 0x7000 + dev::Actuator::kRegCommand,
+                               ActuatorEnvelope{-50.0, 50.0, 10.0, 1, 100});
+        const auto command = [&bus] {
+            (void)bus.write(0x7000 + dev::Actuator::kRegCommand, 4,
+                            static_cast<std::uint32_t>(dev::to_fixed(1.0)),
+                            kNormal);
+        };
+        command();
+        sim.run_for(gap);
+        command();
+        return sink.saw(EventCategory::kPeripheral, EventSeverity::kAlert);
+    };
+    EXPECT_TRUE(alerts_after(100));
+    EXPECT_FALSE(alerts_after(101));
 }
 
 TEST_F(PeriphFixture, SensorEnvelopeViolation) {
@@ -483,6 +549,42 @@ TEST(NetworkMon, FloodDetected) {
     monitor.set_flood_threshold(50, 1000);
     for (int i = 0; i < 50; ++i) monitor.note_rx(net::RecvStatus::kOk, 64);
     EXPECT_TRUE(sink.saw(EventCategory::kNetwork, EventSeverity::kAlert));
+}
+
+// Window boundary: a frame exactly `window` cycles after the oldest
+// still counts toward the flood; one cycle later it has expired.
+TEST(NetworkMon, FloodWindowBoundaryIsInclusive) {
+    const auto alerts_after = [](sim::Cycle gap) {
+        CollectingSink sink;
+        sim::Simulator sim;
+        NetworkMonitor monitor(sink, sim);
+        monitor.set_flood_threshold(2, 100);
+        monitor.note_rx(net::RecvStatus::kOk, 64);
+        sim.run_for(gap);
+        monitor.note_rx(net::RecvStatus::kOk, 64);
+        return sink.saw(EventCategory::kNetwork, EventSeverity::kAlert);
+    };
+    EXPECT_TRUE(alerts_after(100));
+    EXPECT_FALSE(alerts_after(101));
+}
+
+// Same boundary for the replay burst (3 replays in 20000 cycles): the
+// third replay exactly 20000 cycles after the first escalates, one
+// cycle later the first has expired and it stays advisory.
+TEST(NetworkMon, ReplayBurstWindowBoundaryIsInclusive) {
+    const auto alerts_after = [](sim::Cycle gap) {
+        CollectingSink sink;
+        sim::Simulator sim;
+        NetworkMonitor monitor(sink, sim);
+        monitor.note_rx(net::RecvStatus::kReplay, 64, 7);
+        sim.run_for(1);
+        monitor.note_rx(net::RecvStatus::kReplay, 64, 7);
+        sim.run_for(gap - 1);
+        monitor.note_rx(net::RecvStatus::kReplay, 64, 7);
+        return sink.saw(EventCategory::kNetwork, EventSeverity::kAlert);
+    };
+    EXPECT_TRUE(alerts_after(20000));
+    EXPECT_FALSE(alerts_after(20001));
 }
 
 TEST(EnvironmentMon, GlitchDetectedOnceAndRecovery) {

@@ -216,6 +216,41 @@ TEST(Policy, WindowExpiryForgetsOldEvents) {
                                       EventSeverity::kAlert)).empty());
 }
 
+// Window boundary: an event exactly `window` cycles after the oldest
+// still counts toward the threshold; one cycle later it has expired.
+TEST(Policy, WindowBoundaryIsInclusive) {
+    const auto fires_after = [](sim::Cycle gap) {
+        PolicyEngine engine;
+        PolicyRule rule;
+        rule.name = "pair";
+        rule.threshold = 2;
+        rule.window = 100;
+        rule.actions = {ResponseAction::kLogOnly};
+        engine.add_rule(rule);
+        (void)engine.evaluate(event(1000, EventCategory::kMemory,
+                                    EventSeverity::kAlert));
+        return !engine.evaluate(event(1000 + gap, EventCategory::kMemory,
+                                      EventSeverity::kAlert))
+                    .empty();
+    };
+    EXPECT_TRUE(fires_after(100));
+    EXPECT_FALSE(fires_after(101));
+}
+
+TEST(Policy, RuleWithoutWindowNeverExpires) {
+    PolicyEngine engine;
+    PolicyRule rule;
+    rule.name = "pair";
+    rule.threshold = 2;
+    rule.actions = {ResponseAction::kLogOnly};
+    engine.add_rule(rule);
+    (void)engine.evaluate(event(0, EventCategory::kMemory,
+                                EventSeverity::kAlert));
+    EXPECT_EQ(engine.evaluate(event(~sim::Cycle{0}, EventCategory::kMemory,
+                                    EventSeverity::kAlert)).size(),
+              1u);
+}
+
 TEST(Policy, RuleValidation) {
     PolicyEngine engine;
     PolicyRule no_actions;

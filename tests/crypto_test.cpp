@@ -1,13 +1,11 @@
 // Crypto primitives tested against published vectors: SHA-256 (FIPS 180-4),
-// HMAC-SHA256 (RFC 4231), HKDF (RFC 5869), AES-128 (FIPS 197 / SP 800-38A),
-// ChaCha20 (RFC 8439), plus key store and monotonic counter behaviour.
+// HMAC-SHA256 (RFC 4231) and HKDF (RFC 5869), plus key store and
+// monotonic counter behaviour.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <utility>
 
-#include "crypto/aes.h"
-#include "crypto/chacha20.h"
 #include "crypto/hmac.h"
 #include "crypto/keystore.h"
 #include "crypto/monotonic.h"
@@ -309,143 +307,6 @@ TEST(Hkdf, LabelsProduceIndependentKeys) {
     const Bytes k2 = hkdf(ikm, salt, "evidence-seal", 32);
     EXPECT_NE(k1, k2);
     EXPECT_EQ(k1, hkdf(ikm, salt, "attestation", 32));
-}
-
-// FIPS 197 Appendix B.
-TEST(Aes128, Fips197Block) {
-    const Aes128Key key =
-        aes_key_from_bytes(from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
-    const Aes128 aes(key);
-    Aes128Block block;
-    const Bytes pt = from_hex("3243f6a8885a308d313198a2e0370734");
-    std::copy(pt.begin(), pt.end(), block.begin());
-    aes.encrypt_block(block);
-    EXPECT_EQ(to_hex(block), "3925841d02dc09fbdc118597196a0b32");
-    aes.decrypt_block(block);
-    EXPECT_EQ(Bytes(block.begin(), block.end()), pt);
-}
-
-// NIST SP 800-38A F.1.1 (ECB-AES128 block 1).
-TEST(Aes128, Sp80038aEcbVector) {
-    const Aes128Key key =
-        aes_key_from_bytes(from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
-    const Aes128 aes(key);
-    Aes128Block block;
-    const Bytes pt = from_hex("6bc1bee22e409f96e93d7e117393172a");
-    std::copy(pt.begin(), pt.end(), block.begin());
-    aes.encrypt_block(block);
-    EXPECT_EQ(to_hex(block), "3ad77bb40d7a3660a89ecaf32466ef97");
-}
-
-// NIST SP 800-38A F.2.1 (CBC-AES128, first block).
-TEST(Aes128, Sp80038aCbcFirstBlock) {
-    const Aes128Key key =
-        aes_key_from_bytes(from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
-    const Aes128 aes(key);
-    Aes128Block iv;
-    const Bytes iv_bytes = from_hex("000102030405060708090a0b0c0d0e0f");
-    std::copy(iv_bytes.begin(), iv_bytes.end(), iv.begin());
-    const Bytes pt = from_hex("6bc1bee22e409f96e93d7e117393172a");
-    const Bytes ct = aes.cbc_encrypt(pt, iv);
-    // First 16 bytes must match the NIST vector; the rest is padding.
-    ASSERT_GE(ct.size(), 16u);
-    EXPECT_EQ(to_hex(BytesView(ct).subspan(0, 16)),
-              "7649abac8119b246cee98e9b12e9197d");
-    EXPECT_EQ(aes.cbc_decrypt(ct, iv), pt);
-}
-
-// NIST SP 800-38A F.5.1 (CTR-AES128, first block).
-TEST(Aes128, Sp80038aCtrVector) {
-    const Aes128Key key =
-        aes_key_from_bytes(from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
-    const Aes128 aes(key);
-    Aes128Block ctr;
-    const Bytes ctr_bytes = from_hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
-    std::copy(ctr_bytes.begin(), ctr_bytes.end(), ctr.begin());
-    const Bytes pt = from_hex("6bc1bee22e409f96e93d7e117393172a");
-    const Bytes ct = aes.ctr_crypt(pt, ctr);
-    EXPECT_EQ(to_hex(ct), "874d6191b620e3261bef6864990db6ce");
-    EXPECT_EQ(aes.ctr_crypt(ct, ctr), pt);
-}
-
-TEST(Aes128, CbcRoundTripVariousLengths) {
-    const Aes128Key key = aes_key_from_bytes(Bytes(16, 0x42));
-    const Aes128 aes(key);
-    const Aes128Block iv{};
-    for (std::size_t n : {0u, 1u, 15u, 16u, 17u, 31u, 32u, 100u}) {
-        Bytes pt(n);
-        for (std::size_t i = 0; i < n; ++i) pt[i] = static_cast<std::uint8_t>(i);
-        const Bytes ct = aes.cbc_encrypt(pt, iv);
-        EXPECT_EQ(ct.size() % 16, 0u);
-        EXPECT_GE(ct.size(), pt.size() + 1);  // Always padded.
-        EXPECT_EQ(aes.cbc_decrypt(ct, iv), pt) << "n=" << n;
-    }
-}
-
-TEST(Aes128, CbcDecryptRejectsCorruption) {
-    const Aes128Key key = aes_key_from_bytes(Bytes(16, 0x42));
-    const Aes128 aes(key);
-    const Aes128Block iv{};
-    Bytes ct = aes.cbc_encrypt(to_bytes("attack at dawn"), iv);
-    ct.back() ^= 0xff;
-    EXPECT_THROW((void)aes.cbc_decrypt(ct, iv), CryptoError);
-    EXPECT_THROW((void)aes.cbc_decrypt(Bytes(15, 0), iv), CryptoError);
-    EXPECT_THROW((void)aes.cbc_decrypt(Bytes{}, iv), CryptoError);
-}
-
-TEST(Aes128, KeyFromBytesRejectsWrongSize) {
-    EXPECT_THROW(aes_key_from_bytes(Bytes(15, 0)), CryptoError);
-    EXPECT_THROW(aes_key_from_bytes(Bytes(17, 0)), CryptoError);
-}
-
-// RFC 8439 section 2.3.2 block function test vector.
-TEST(ChaCha20, Rfc8439BlockVector) {
-    ChaChaKey key;
-    for (int i = 0; i < 32; ++i) key[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(i);
-    ChaChaNonce nonce{};
-    const Bytes nonce_bytes = from_hex("000000090000004a00000000");
-    std::copy(nonce_bytes.begin(), nonce_bytes.end(), nonce.begin());
-    const auto block = chacha20_block(key, 1, nonce);
-    EXPECT_EQ(to_hex(BytesView(block.data(), 16)),
-              "10f1e7e4d13b5915500fdd1fa32071c4");
-}
-
-// RFC 8439 section 2.4.2 encryption test vector.
-TEST(ChaCha20, Rfc8439EncryptVector) {
-    ChaChaKey key;
-    for (int i = 0; i < 32; ++i) key[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(i);
-    ChaChaNonce nonce{};
-    const Bytes nonce_bytes = from_hex("000000000000004a00000000");
-    std::copy(nonce_bytes.begin(), nonce_bytes.end(), nonce.begin());
-    const Bytes pt = to_bytes(
-        "Ladies and Gentlemen of the class of '99: If I could offer you "
-        "only one tip for the future, sunscreen would be it.");
-    const Bytes ct = chacha20_crypt(key, nonce, 1, pt);
-    EXPECT_EQ(to_hex(BytesView(ct).subspan(0, 16)),
-              "6e2e359a2568f98041ba0728dd0d6981");
-    EXPECT_EQ(chacha20_crypt(key, nonce, 1, ct), pt);
-}
-
-TEST(ChaChaDrbg, DeterministicFromSeed) {
-    ChaChaDrbg a(to_bytes("seed"));
-    ChaChaDrbg b(to_bytes("seed"));
-    EXPECT_EQ(a.generate(64), b.generate(64));
-}
-
-TEST(ChaChaDrbg, OutputsDiffer) {
-    ChaChaDrbg drbg(to_bytes("seed"));
-    const Bytes first = drbg.generate(32);
-    const Bytes second = drbg.generate(32);
-    EXPECT_NE(first, second);
-}
-
-TEST(ChaChaDrbg, ReseedChangesStream) {
-    ChaChaDrbg a(to_bytes("seed"));
-    ChaChaDrbg b(to_bytes("seed"));
-    b.reseed(to_bytes("extra entropy"));
-    EXPECT_NE(a.generate(32), b.generate(32));
 }
 
 TEST(KeyStore, InstallAndRead) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "core/ssm/evidence.h"
-#include "crypto/aes.h"
 #include "crypto/hmac.h"
 #include "isa/assembler.h"
 #include "isa/cpu.h"
@@ -167,19 +166,6 @@ TEST_P(SeededProperty, BinaryRoundTripRandomSequences) {
 }
 
 // ---- Crypto self-consistency ---------------------------------------------------
-
-TEST_P(SeededProperty, AesRoundTripsRandomData) {
-    Rng rng(GetParam() ^ 0xaeu);
-    const auto key = crypto::aes_key_from_bytes(rng.bytes(16));
-    const crypto::Aes128 aes(key);
-    for (int i = 0; i < 20; ++i) {
-        const Bytes pt = rng.bytes(rng.uniform(200));
-        crypto::Aes128Block iv;
-        rng.fill(iv);
-        EXPECT_EQ(aes.cbc_decrypt(aes.cbc_encrypt(pt, iv), iv), pt);
-        EXPECT_EQ(aes.ctr_crypt(aes.ctr_crypt(pt, iv), iv), pt);
-    }
-}
 
 TEST_P(SeededProperty, HmacDistinctForDistinctInputs) {
     Rng rng(GetParam() ^ 0x11u);
