@@ -1,14 +1,15 @@
 #include "core/monitor/config_monitor.h"
 
+#include <algorithm>
+
 namespace cres::core {
 
 ConfigMonitor::ConfigMonitor(EventSink& sink, const sim::Simulator& sim,
                              mem::Bus& bus, sim::Cycle period)
     : Monitor("config-monitor", sink),
-      sim_(sim),
       bus_(bus),
       period_(period == 0 ? 1 : period),
-      next_audit_(period_) {}
+      first_audit_(std::max(period_, sim.now())) {}
 
 void ConfigMonitor::snapshot_golden() {
     golden_ = bus_.regions();
@@ -18,12 +19,16 @@ void ConfigMonitor::snapshot_golden() {
         drifted_.empty() ? bus_.config_generation() : kUncompared;
 }
 
+sim::Cycle ConfigMonitor::next_activity(sim::Cycle now) {
+    if (golden_.empty() || bus_.config_generation() == compared_generation_) {
+        return kIdleForever;
+    }
+    return sim::next_on_grid(now, first_audit_, period_);
+}
+
 void ConfigMonitor::tick(sim::Cycle now) {
-    if (now < next_audit_) return;
-    next_audit_ = now + period_;
-    if (golden_.empty()) return;
+    if (next_activity(now) != now) return;
     note_poll(now);
-    if (bus_.config_generation() == compared_generation_) return;
     compared_generation_ = bus_.config_generation();
 
     const auto current = bus_.regions();

@@ -3,10 +3,13 @@
 // then periodically re-audits it. Detects the bus-attribute tampering
 // attack of [34], which no transaction-level monitor can see (the
 // tampered accesses are "legal" once the attribute has been cleared).
-// An audit compares regions only when the bus configuration generation
-// has moved since the last comparison: only map() and
-// set_secure_only() change a RegionConfig, and both bump it, so a
-// skipped comparison could not have reported anything.
+// Audits fall on a grid, the first at `period` (or at construction if
+// later), then every `period` cycles. An audit is made, and counted as
+// a poll, only when the bus configuration generation has moved since
+// the last comparison: only map() and set_secure_only() change a
+// RegionConfig, and both bump it. The monitor stays a tickable so an
+// audit runs in tick order at its grid cycle, after a response earlier
+// in that cycle has bumped the generation.
 #pragma once
 
 #include <set>
@@ -32,11 +35,9 @@ public:
 
     void tick(sim::Cycle now) override;
 
-    /// Quiescence: audits fire at an absolute deadline; ticks before it
-    /// are pure no-ops, so there is nothing to replay on skip.
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) override {
-        return next_audit_ > now ? next_audit_ : now;
-    }
+    /// Quiescence: kIdleForever until the generation moves (or before
+    /// a golden snapshot), then the next audit cycle on the grid.
+    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) override;
 
     [[nodiscard]] std::uint64_t drifts_detected() const noexcept {
         return drifts_;
@@ -45,10 +46,9 @@ public:
 private:
     static constexpr std::uint64_t kUncompared = ~std::uint64_t{0};
 
-    const sim::Simulator& sim_;
     mem::Bus& bus_;
     sim::Cycle period_;
-    sim::Cycle next_audit_;
+    sim::Cycle first_audit_;  ///< Grid origin.
     std::vector<mem::RegionConfig> golden_;
     /// Bus::config_generation() at the last comparison (or golden
     /// snapshot); kUncompared forces the next audit to compare.

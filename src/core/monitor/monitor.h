@@ -66,10 +66,12 @@ public:
     [[nodiscard]] virtual std::string description() const = 0;
 
 protected:
-    /// Records one observation pass over the watched resource — a
-    /// periodic scan for Tickable monitors, one watched transaction /
-    /// frame / edge for observer-style monitors. Cycle-accurate: the
-    /// gap histogram is fed from simulated time only.
+    /// Records one observation pass over the watched resource: a
+    /// periodic scan, one watched transaction / frame / edge, one
+    /// heartbeat (timing monitor) or one audit that compares (config
+    /// monitor). No monitor makes a pass that could observe nothing
+    /// new. Cycle-accurate: the gap histogram is fed from simulated
+    /// time only.
     ///
     /// The first poll never contributes a gap sample: last_poll_at_
     /// starts at the kNoPoll sentinel, not at cycle 0, so a monitor
@@ -83,22 +85,6 @@ protected:
             poll_gap_->record(now - last_poll_at_);
         }
         last_poll_at_ = now;
-    }
-
-    /// Bulk form of note_poll for quiescence skip() (docs/SCHEDULER.md):
-    /// replays `count` consecutive per-cycle polls at cycles
-    /// first .. first+count-1 with bit-identical metric effects — one
-    /// entry gap against the previous poll, then count-1 unit gaps.
-    void note_polls(sim::Cycle first, sim::Cycle count) {
-        if (count == 0 || polls_ == nullptr || !enabled_) return;
-        polls_->inc(count);
-        if (last_poll_at_ != kNoPoll) {
-            poll_gap_->record(first - last_poll_at_);
-            if (count > 1) poll_gap_->record_many(1, count - 1);
-        } else if (count > 1) {
-            poll_gap_->record_many(1, count - 1);
-        }
-        last_poll_at_ = first + count - 1;
     }
 
     /// Delivers an event to the SSM (no-op while disabled). `trace`

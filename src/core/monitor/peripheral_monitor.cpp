@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "util/error.h"
+
 namespace cres::core {
 
 PeripheralMonitor::PeripheralMonitor(EventSink& sink,
@@ -25,6 +27,7 @@ void PeripheralMonitor::watch_actuator(const std::string& region,
 void PeripheralMonitor::watch_sensor(dev::Sensor& sensor,
                                      const SensorEnvelope& envelope,
                                      std::uint32_t period) {
+    if (period == 0) throw Error("PeripheralMonitor: zero sensor period");
     sensors_.push_back(SensorWatch{&sensor, envelope, period,
                                    sim_.now() + period - 1, std::nullopt});
 }

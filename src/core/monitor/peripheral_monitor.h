@@ -49,7 +49,8 @@ public:
                         const ActuatorEnvelope& envelope);
 
     /// Polls `sensor` every `period` cycles against the envelope, the
-    /// first time `period - 1` cycles from now.
+    /// first time `period - 1` cycles from now. Throws Error for a zero
+    /// period.
     void watch_sensor(dev::Sensor& sensor, const SensorEnvelope& envelope,
                       std::uint32_t period = 100);
 

@@ -13,6 +13,7 @@ void TimingMonitor::register_task(const std::string& task,
 void TimingMonitor::heartbeat(const std::string& task) {
     const auto it = tasks_.find(task);
     if (it == tasks_.end()) return;
+    note_poll(sim_.now());
     it->second.last_heartbeat = sim_.now();
     if (it->second.overdue) {
         it->second.overdue = false;
@@ -26,7 +27,6 @@ void TimingMonitor::unregister_task(const std::string& task) {
 }
 
 void TimingMonitor::tick(sim::Cycle now) {
-    if (!tasks_.empty()) note_poll(now);
     for (auto& [task, watch] : tasks_) {
         if (watch.overdue) continue;
         if (now > watch.last_heartbeat + watch.deadline) {
@@ -55,10 +55,6 @@ sim::Cycle TimingMonitor::next_activity(sim::Cycle now) {
         if (due < wake) wake = due;
     }
     return wake;
-}
-
-void TimingMonitor::skip(sim::Cycle now, sim::Cycle cycles) {
-    if (!tasks_.empty()) note_polls(now, cycles);
 }
 
 std::uint64_t TimingMonitor::missed_deadlines(const std::string& task) const {

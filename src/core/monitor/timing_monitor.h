@@ -2,7 +2,9 @@
 // monitor raises escalating events when a task goes quiet (hang, kill,
 // watchdog starvation, control-loop stall). Unlike a plain watchdog,
 // the event carries *which* task missed *by how much* — the
-// fine-grained visibility the paper requires.
+// fine-grained visibility the paper requires. A poll is one heartbeat
+// of a registered task, so the poll-gap histogram holds the heartbeat
+// intervals.
 #pragma once
 
 #include <map>
@@ -25,7 +27,8 @@ public:
     /// cycles.
     void register_task(const std::string& task, sim::Cycle deadline);
 
-    /// Called by the task (via OS service hook) on each iteration.
+    /// Called by the task (via OS service hook) on each iteration; a
+    /// registered task's heartbeat is one poll.
     void heartbeat(const std::string& task);
 
     /// Stops watching (task killed deliberately).
@@ -34,12 +37,9 @@ public:
     void tick(sim::Cycle now) override;
 
     /// Quiescence: wakes when the earliest non-overdue deadline can
-    /// first be missed; the per-cycle liveness poll itself carries no
-    /// decision and is replayed in bulk by skip(), so an all-overdue
-    /// or freshly heartbeating task set does not force per-cycle
-    /// stepping.
+    /// first be missed (kIdleForever when every task is overdue); a
+    /// tick before that changes nothing.
     [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) override;
-    void skip(sim::Cycle now, sim::Cycle cycles) override;
 
     [[nodiscard]] std::uint64_t missed_deadlines(const std::string& task) const;
 

@@ -41,7 +41,8 @@ SystemSecurityManager::SystemSecurityManager(const sim::Simulator& sim,
     : sim_(sim),
       config_(std::move(config)),
       evidence_(config_.seal_key),
-      report_hmac_(config_.seal_key) {
+      report_hmac_(config_.seal_key),
+      poll_origin_(sim.now()) {
     if (config_.poll_interval == 0) {
         throw Error("SystemSecurityManager: zero poll interval");
     }
@@ -239,57 +240,34 @@ void SystemSecurityManager::process_event(const MonitorEvent& event,
 }
 
 void SystemSecurityManager::tick(sim::Cycle now) {
-    if (disabled_) return;
-    if (now < next_poll_) return;
-    next_poll_ = now + config_.poll_interval;
+    if (next_activity(now) != now) return;
 
     if (m_queue_depth_per_poll_ != nullptr) {
         m_queue_depth_per_poll_->record(queue_.size());
     }
-    // Queue-depth counter track, change-guarded so an idle SSM does not
-    // flood the black box with identical samples every poll.
-    if (recorder_ != nullptr && queue_.size() != last_queue_recorded_) {
-        last_queue_recorded_ = queue_.size();
+    if (recorder_ != nullptr) {
         recorder_->record(now, rec_source_, rec_queue_, 0,
                           obs::FlightRecordType::kCounter,
                           static_cast<std::uint64_t>(queue_.size()), 0, {});
     }
 
-    // Drain everything that arrived up to now.
+    // Drain everything that arrived up to now, and what the responses
+    // submit while it drains, in arrival order.
     while (!queue_.empty()) {
-        const MonitorEvent event = queue_.front();
-        queue_.pop_front();
+        const MonitorEvent event = std::move(queue_.front());
+        queue_.erase(queue_.begin());
         process_event(event, now);
     }
     if (m_queue_depth_ != nullptr) m_queue_depth_->set(0);
-    if (recorder_ != nullptr && last_queue_recorded_ != 0) {
-        last_queue_recorded_ = 0;
+    if (recorder_ != nullptr) {
         recorder_->record(now, rec_source_, rec_queue_, 0,
                           obs::FlightRecordType::kCounter, 0, 0, {});
     }
 }
 
 sim::Cycle SystemSecurityManager::next_activity(sim::Cycle now) {
-    if (disabled_) return kIdleForever;
-    // Empty-queue polls are decision-free and replayed by skip();
-    // queued events must be drained at the next poll deadline.
-    if (queue_.empty()) return kIdleForever;
-    return next_poll_ > now ? next_poll_ : now;
-}
-
-void SystemSecurityManager::skip(sim::Cycle now, sim::Cycle cycles) {
-    if (disabled_) return;
-    const sim::Cycle end = now + cycles;
-    // First poll a per-cycle run would have made inside the window.
-    // A non-empty queue reports next_poll_ as its wake, so any poll
-    // landing here drains an empty queue.
-    const sim::Cycle first = next_poll_ > now ? next_poll_ : now;
-    if (first >= end) return;
-    const std::uint64_t polls = 1 + (end - 1 - first) / config_.poll_interval;
-    if (m_queue_depth_per_poll_ != nullptr) {
-        m_queue_depth_per_poll_->record_many(0, polls);
-    }
-    next_poll_ = first + polls * config_.poll_interval;
+    if (disabled_ || queue_.empty()) return kIdleForever;
+    return sim::next_on_grid(now, poll_origin_, config_.poll_interval);
 }
 
 void SystemSecurityManager::notify_recovery_started(sim::Cycle at) {

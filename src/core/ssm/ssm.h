@@ -10,12 +10,13 @@
 // from the application side always fails.
 //
 // Event flow: monitors submit() events synchronously; the SSM drains
-// its queue every poll_interval cycles (modelling the independent
-// processor's scan rate), appends evidence, updates health state,
-// evaluates policy and dispatches response actions to the executor.
+// its queue at its polls (modelling the independent processor's scan
+// rate), appends evidence, updates health state, evaluates policy and
+// dispatches response actions to the executor. Polls fall on the grid
+// construction cycle + k * poll_interval, and a poll is made only when
+// events are queued: an empty poll would observe nothing.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -99,7 +100,8 @@ public:
 
     /// Attaches the device flight recorder: health transitions, policy
     /// decisions and response actions land in the black-box ring, and
-    /// queue depth is recorded as a counter track whenever it changes.
+    /// each poll records the queue depth it found, then 0 once drained,
+    /// as a counter track.
     /// Also enables postmortem capture — on incident span open the SSM
     /// snapshots the pre-incident ring window, and on close it seals
     /// the full bundle (requires bind_metrics for the span tracer).
@@ -117,14 +119,10 @@ public:
     // --- Tickable ---------------------------------------------------------
     void tick(sim::Cycle now) override;
 
-    /// Quiescence: a disabled SSM never acts; with events queued it
-    /// wakes at the next poll deadline; with an empty queue the poll
-    /// carries no decision, so skip() replays every elided poll as a
-    /// zero queue-depth histogram sample instead of waking. The
-    /// change-guarded recorder track and the depth gauge already read
-    /// 0 after every poll, so a skipped empty poll leaves them as is.
+    /// Quiescence: the next poll cycle on the grid while events are
+    /// queued; kIdleForever with an empty queue or once disabled, as
+    /// no poll is made then.
     [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) override;
-    void skip(sim::Cycle now, sim::Cycle cycles) override;
 
     // --- Recovery signalling (called by the response manager) -----------
     void notify_recovery_started(sim::Cycle at);
@@ -200,7 +198,7 @@ private:
     PolicyEngine policy_;
     ResponseExecutor* executor_ = nullptr;
 
-    std::deque<MonitorEvent> queue_;
+    std::vector<MonitorEvent> queue_;  ///< FIFO: drained from the front.
     EvidenceLog evidence_;
     /// Keyed once on the seal key: health-report tags reuse the cached
     /// ipad/opad midstates instead of re-deriving them per report.
@@ -210,7 +208,7 @@ private:
     bool disabled_ = false;
     std::uint64_t events_processed_ = 0;
     std::vector<Dispatch> dispatches_;
-    sim::Cycle next_poll_ = 0;
+    sim::Cycle poll_origin_;  ///< Construction cycle: the poll grid's origin.
 
     void open_postmortem(std::uint64_t incident_id, sim::Cycle opened_at);
     void close_postmortem(sim::Cycle at);
@@ -226,7 +224,6 @@ private:
     std::uint16_t rec_decision_ = 0;
     std::uint16_t rec_action_ = 0;
     std::uint16_t rec_queue_ = 0;
-    std::size_t last_queue_recorded_ = 0;
     /// Bundle under construction for the open incident (pre-window
     /// snapshot taken at open, completed and sealed at close).
     std::optional<obs::PostmortemBundle> pending_postmortem_;

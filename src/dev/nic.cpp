@@ -49,7 +49,7 @@ void Nic::send_frame(const Bytes& frame) {
 std::optional<Bytes> Nic::receive_frame() {
     if (rx_queue_.empty()) return std::nullopt;
     Bytes frame = std::move(rx_queue_.front());
-    rx_queue_.pop_front();
+    rx_queue_.erase(rx_queue_.begin());
     rx_offset_ = 0;
     return frame;
 }
@@ -100,7 +100,7 @@ mem::BusResponse Nic::write_reg(mem::Addr offset, std::uint32_t value,
         }
         case kRegRxNext:
             if (!rx_queue_.empty()) {
-                rx_queue_.pop_front();
+                rx_queue_.erase(rx_queue_.begin());
                 rx_offset_ = 0;
             }
             return mem::BusResponse::kOk;

@@ -13,9 +13,9 @@
 //   0x14 RX_PENDING(R) queued frame count (including current)
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "dev/device.h"
 #include "util/bytes.h"
@@ -98,7 +98,7 @@ protected:
 private:
     Link* link_ = nullptr;
     Bytes tx_buffer_;
-    std::deque<Bytes> rx_queue_;
+    std::vector<Bytes> rx_queue_;  ///< FIFO: frames leave from the front.
     std::size_t rx_offset_ = 0;
     std::uint64_t sent_ = 0;
     std::uint64_t received_ = 0;

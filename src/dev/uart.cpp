@@ -18,7 +18,7 @@ mem::BusResponse Uart::read_reg(mem::Addr offset, std::uint32_t& out,
                 out = 0;
             } else {
                 out = rx_.front();
-                rx_.pop_front();
+                rx_.erase(rx_.begin());
             }
             return mem::BusResponse::kOk;
         case kRegTxData:

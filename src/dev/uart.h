@@ -4,8 +4,8 @@
 //   0x08 RX_DATA  (R)  pop one received byte (0 when empty)
 #pragma once
 
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "dev/device.h"
 
@@ -34,7 +34,7 @@ protected:
 
 private:
     std::string tx_;
-    std::deque<std::uint8_t> rx_;
+    std::vector<std::uint8_t> rx_;  ///< FIFO: bytes leave from the front.
 };
 
 }  // namespace cres::dev

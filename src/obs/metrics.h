@@ -85,17 +85,6 @@ public:
         if (v > max_) max_ = v;
     }
 
-    /// Records `n` identical samples in O(1) — the quiescence-skip bulk
-    /// path (docs/SCHEDULER.md). Equivalent to n record(v) calls.
-    void record_many(std::uint64_t v, std::uint64_t n) {
-        if (n == 0) return;
-        if (buckets_.empty()) buckets_.resize(kBucketCount);
-        buckets_[bucket_index(v)] += n;
-        sum_ += v * n;
-        if (v < min_) min_ = v;
-        if (v > max_) max_ = v;
-    }
-
     /// Total samples. Derived by summing buckets: queries are cold, so
     /// the hot path doesn't pay for a separate count field.
     [[nodiscard]] std::uint64_t count() const noexcept {

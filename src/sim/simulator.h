@@ -31,6 +31,14 @@ namespace cres::sim {
 /// Simulated time, in clock cycles.
 using Cycle = std::uint64_t;
 
+/// First cycle >= now on the grid origin + k * period (k >= 0).
+[[nodiscard]] constexpr Cycle next_on_grid(Cycle now, Cycle origin,
+                                           Cycle period) noexcept {
+    if (now <= origin) return origin;
+    const Cycle late = (now - origin) % period;
+    return late == 0 ? now : now + period - late;
+}
+
 /// A component stepped once per simulated cycle.
 ///
 /// Quiescence contract: next_activity(now) may return
@@ -61,8 +69,10 @@ public:
     [[nodiscard]] virtual Cycle next_activity(Cycle now) { return now; }
 
     /// Replays `cycles` consecutive quiescent ticks starting at `now`
-    /// in O(1)/O(work). Only called when
-    /// `now + cycles <= next_activity(now)` held at the jump decision.
+    /// in O(1): a quiescent tick at most advances a counter, as no
+    /// component polls when it could observe nothing new. Only called
+    /// when `now + cycles <= next_activity(now)` held at the jump
+    /// decision.
     virtual void skip(Cycle now, Cycle cycles) {
         (void)now;
         (void)cycles;

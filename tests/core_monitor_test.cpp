@@ -14,6 +14,7 @@
 #include "core/monitor/timing_monitor.h"
 #include "isa/assembler.h"
 #include "mem/ram.h"
+#include "util/error.h"
 
 namespace cres::core {
 namespace {
@@ -444,6 +445,12 @@ TEST_F(PeriphFixture, SensorEnvelopeViolation) {
     EXPECT_TRUE(sink.saw(EventCategory::kPeripheral, EventSeverity::kAlert));
 }
 
+TEST_F(PeriphFixture, ZeroSensorPeriodRejected) {
+    EXPECT_THROW(
+        monitor->watch_sensor(sensor, SensorEnvelope{0.0, 100.0, 5.0}, 0),
+        Error);
+}
+
 TEST_F(PeriphFixture, SensorStepImplausible) {
     monitor->watch_sensor(sensor, SensorEnvelope{0.0, 100.0, 5.0}, 10);
     sim.run_for(50);
@@ -478,6 +485,47 @@ TEST(TimingMon, MissedHeartbeatEscalates) {
     monitor.heartbeat("control-loop");
     sim.run_for(200);
     EXPECT_TRUE(sink.saw(EventCategory::kTiming, EventSeverity::kCritical));
+}
+
+// A poll is one heartbeat of a registered task: the gap samples are the
+// heartbeat intervals, and neither an unregistered task's heartbeat nor
+// idle cycles add a poll. Per-cycle stepping and fast-forward agree.
+TEST(TimingMon, PollsAreHeartbeatsOfRegisteredTasks) {
+    const auto run = [](bool quiescence, std::string& json) {
+        CollectingSink sink;
+        sim::Simulator sim;
+        sim.set_quiescence(quiescence);
+        obs::MetricsRegistry registry;
+        TimingMonitor monitor(sink, sim);
+        monitor.bind_metrics(registry);
+        sim.add_tickable(&monitor);
+        monitor.register_task("loop", 1000);
+        for (const sim::Cycle gap : {300, 500, 800}) {
+            sim.run_for(gap);
+            monitor.heartbeat("loop");
+            monitor.heartbeat("ghost");
+        }
+        sim.run_for(5000);  // The task goes quiet: one miss, no poll.
+        EXPECT_EQ(monitor.missed_deadlines("loop"), 1u);
+
+        const auto* polls = registry.find_counter(
+            "cres_monitor_polls_total{monitor=\"timing-monitor\"}");
+        const auto* gaps = registry.find_histogram(
+            "cres_monitor_poll_gap_cycles{monitor=\"timing-monitor\"}");
+        ASSERT_NE(polls, nullptr);
+        ASSERT_NE(gaps, nullptr);
+        EXPECT_EQ(polls->value(), 3u);
+        EXPECT_EQ(gaps->count(), 2u);
+        EXPECT_EQ(gaps->min(), 500u);
+        EXPECT_EQ(gaps->max(), 800u);
+        EXPECT_EQ(gaps->sum(), 1300u);
+        json = registry.json();
+    };
+    std::string fast;
+    std::string stepped;
+    run(true, fast);
+    run(false, stepped);
+    EXPECT_EQ(fast, stepped);
 }
 
 TEST(TimingMon, UnregisteredTaskIgnored) {
@@ -619,8 +667,9 @@ TEST(EnvironmentMon, ThermalExcursion) {
 }
 
 // --- Config monitor ---------------------------------------------------------
-// Audits every 200 cycles; it compares regions only when the bus
-// configuration generation has moved since the last comparison.
+// Audits fall on a 200-cycle grid. An audit is made, and counted as a
+// poll, only when the bus configuration generation has moved since the
+// last comparison.
 
 class ConfigMonFixture : public ::testing::Test {
 protected:
@@ -683,15 +732,34 @@ TEST_F(ConfigMonFixture, ChangeRevertedBetweenAuditsIsSilent) {
     EXPECT_EQ(monitor.drifts_detected(), 0u);
 }
 
-TEST_F(ConfigMonFixture, SkippedAuditsStillCountAsPolls) {
-    audit(200, 1000);  // Nothing moved: every comparison is skipped.
-    EXPECT_EQ(polls(), 5u);
-    const auto* gaps = registry.find_histogram(
-        "cres_monitor_poll_gap_cycles{monitor=\"config-monitor\"}");
-    ASSERT_NE(gaps, nullptr);
-    EXPECT_EQ(gaps->count(), 4u);
-    EXPECT_EQ(gaps->min(), 200u);
-    EXPECT_EQ(gaps->max(), 200u);
+TEST_F(ConfigMonFixture, UnchangedAuditsAreNotPolls) {
+    EXPECT_EQ(monitor.next_activity(0), sim::Tickable::kIdleForever);
+    audit(200, 200);  // Nothing moved: the audit compares nothing.
+    EXPECT_EQ(polls(), 0u);
+
+    ASSERT_TRUE(bus.set_secure_only("secret", false));
+    EXPECT_EQ(monitor.next_activity(250), 400u);
+    audit(400, 1000);
+    EXPECT_EQ(polls(), 1u);
+    ASSERT_EQ(sink.events.size(), 1u);
+    EXPECT_EQ(sink.events[0].at, 400u);
+    EXPECT_EQ(sink.events[0].severity, EventSeverity::kCritical);
+    EXPECT_EQ(monitor.next_activity(1001), sim::Tickable::kIdleForever);
+}
+
+// A monitor built after `period` audits first at its construction
+// cycle and keeps that grid.
+TEST_F(ConfigMonFixture, BuiltLateAuditsOnItsOwnGrid) {
+    sim.run_for(350);
+    ConfigMonitor late(sink, sim, bus, 200);  // Audits at 350, 550...
+    late.snapshot_golden();
+    sim.add_tickable(&late);
+    sim.schedule_at(400, "tamper",
+                    [this] { (void)bus.set_secure_only("secret", false); });
+    sim.run_until(1000);
+    ASSERT_EQ(sink.events.size(), 1u);
+    EXPECT_EQ(sink.events[0].at, 550u);
+    EXPECT_EQ(late.drifts_detected(), 1u);
 }
 
 // --- Read phase ---------------------------------------------------------------

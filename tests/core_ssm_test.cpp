@@ -413,6 +413,99 @@ TEST_F(SsmFixture, HealthReportVerifies) {
     EXPECT_FALSE(SystemSecurityManager::verify_health_report(forged, key()));
 }
 
+/// Executor whose first action submits two more events to the SSM
+/// that is draining its queue.
+class SubmittingExecutor : public ResponseExecutor {
+public:
+    explicit SubmittingExecutor(SystemSecurityManager& ssm) : ssm_(ssm) {}
+
+    std::string execute(ResponseAction /*action*/,
+                        const MonitorEvent& trigger) override {
+        order.push_back(trigger.resource);
+        if (trigger.resource == "a") {
+            ssm_.submit(event(trigger.at, EventCategory::kMemory,
+                              EventSeverity::kCritical, "c"));
+            ssm_.submit(event(trigger.at, EventCategory::kMemory,
+                              EventSeverity::kCritical, "d"));
+        }
+        return "ok";
+    }
+
+    std::vector<std::string> order;
+
+private:
+    SystemSecurityManager& ssm_;
+};
+
+// Events a response action submits mid-drain are processed in the same
+// poll, after the events queued before them, and the depth gauge sees
+// the queue as it stands at each submit.
+TEST_F(SsmFixture, EventsSubmittedMidDrainJoinTheSamePoll) {
+    obs::MetricsRegistry registry;
+    ssm->bind_metrics(registry);
+    SubmittingExecutor submitter(*ssm);
+    ssm->set_response_executor(&submitter);
+    install_policy("rule r: severity>=critical -> log-only\n");
+    ssm->submit(event(0, EventCategory::kMemory, EventSeverity::kCritical,
+                      "a"));
+    ssm->submit(event(0, EventCategory::kMemory, EventSeverity::kCritical,
+                      "b"));
+    sim.run_for(1);  // The poll at cycle 0.
+
+    EXPECT_EQ(submitter.order,
+              (std::vector<std::string>{"a", "b", "c", "d"}));
+    EXPECT_EQ(ssm->events_processed(), 4u);
+    ASSERT_EQ(ssm->dispatches().size(), 4u);
+    for (const Dispatch& d : ssm->dispatches()) {
+        EXPECT_EQ(d.dispatched_at, 0u);
+    }
+    EXPECT_EQ(ssm->queue_depth(), 0u);
+    // a and b queued (2); draining a leaves b, then c and d join it (3).
+    const obs::Gauge* depth = registry.find_gauge("cres_ssm_queue_depth");
+    ASSERT_NE(depth, nullptr);
+    EXPECT_EQ(depth->max(), 3);
+    EXPECT_EQ(depth->value(), 0);
+}
+
+// Polls fall on the grid construction cycle + k * poll_interval, and
+// only a poll with events queued is made: idle cycles leave no
+// queue-depth sample. Per-cycle stepping and fast-forward agree.
+TEST_F(SsmFixture, PollGridStartsAtConstructionAndIdleCyclesRecordNothing) {
+    const auto run = [](bool quiescence, std::string& json) {
+        sim::Simulator sim;
+        sim.set_quiescence(quiescence);
+        sim.run_for(7);
+        SsmConfig config;
+        config.poll_interval = 10;
+        config.seal_key = key();
+        SystemSecurityManager late(sim, config);  // Polls at 7, 17, 27...
+        obs::MetricsRegistry registry;
+        late.bind_metrics(registry);
+        late.set_policy(
+            PolicyEngine::parse("rule r: severity>=alert -> log-only\n"));
+        sim.add_tickable(&late);
+
+        sim.run_until(20);
+        late.submit(event(20, EventCategory::kMemory, EventSeverity::kAlert));
+        sim.run_until(28);
+        ASSERT_EQ(late.dispatches().size(), 1u);
+        EXPECT_EQ(late.dispatches()[0].dispatched_at, 27u);
+        sim.run_for(1000);
+
+        const obs::Histogram* depth =
+            registry.find_histogram("cres_ssm_queue_depth_per_poll");
+        ASSERT_NE(depth, nullptr);
+        EXPECT_EQ(depth->count(), 1u);  // The draining poll only.
+        EXPECT_EQ(depth->max(), 1u);
+        json = registry.json();
+    };
+    std::string fast;
+    std::string stepped;
+    run(true, fast);
+    run(false, stepped);
+    EXPECT_EQ(fast, stepped);
+}
+
 TEST(SsmShared, SharedSsmDiesWithKernel) {
     sim::Simulator sim;
     SsmConfig config;

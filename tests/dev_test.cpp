@@ -340,6 +340,41 @@ TEST(NicLink, GuestRegisterInterface) {
     EXPECT_EQ(read_reg(b, Nic::kRegRxPending), 0u);
 }
 
+// Frames leave the receive queue in arrival order through both the
+// host API and the register interface, and moving to the next frame
+// restarts the byte offset.
+TEST(NicLink, QueuedFramesLeaveInArrivalOrder) {
+    Nic a("nicA"), b("nicB");
+    Link link;
+    link.attach(a, b);
+
+    for (std::uint8_t i = 1; i <= 3; ++i) a.send_frame(Bytes{i, 0x10});
+    for (std::uint8_t i = 1; i <= 3; ++i) {
+        EXPECT_EQ(b.pending_frames(), 4u - i);
+        const auto frame = b.receive_frame();
+        ASSERT_TRUE(frame.has_value());
+        EXPECT_EQ(*frame, (Bytes{i, 0x10}));
+    }
+    EXPECT_EQ(b.pending_frames(), 0u);
+
+    for (std::uint8_t i = 1; i <= 3; ++i) a.send_frame(Bytes{i, 0x20, i});
+    EXPECT_EQ(read_reg(b, Nic::kRegRxByte), 1u);  // Half-read frame 1.
+    write_reg(b, Nic::kRegRxNext, 1);
+    EXPECT_EQ(read_reg(b, Nic::kRegRxPending), 2u);
+    EXPECT_EQ(read_reg(b, Nic::kRegRxAvail), 3u);
+    EXPECT_EQ(read_reg(b, Nic::kRegRxByte), 2u);
+    EXPECT_EQ(read_reg(b, Nic::kRegRxByte), 0x20u);
+    write_reg(b, Nic::kRegRxNext, 1);
+    EXPECT_EQ(read_reg(b, Nic::kRegRxPending), 1u);
+    EXPECT_EQ(read_reg(b, Nic::kRegRxByte), 3u);
+    EXPECT_EQ(read_reg(b, Nic::kRegRxByte), 0x20u);
+    EXPECT_EQ(read_reg(b, Nic::kRegRxByte), 3u);
+    EXPECT_EQ(read_reg(b, Nic::kRegRxAvail), 0u);
+    write_reg(b, Nic::kRegRxNext, 1);
+    EXPECT_EQ(read_reg(b, Nic::kRegRxPending), 0u);
+    EXPECT_EQ(read_reg(b, Nic::kRegRxByte), 0u);  // Empty queue reads 0.
+}
+
 TEST(NicLink, DoubleAttachRejected) {
     Nic a("a"), b("b"), c("c");
     Link link;
