@@ -42,8 +42,10 @@ Ablation run(bool isolated, std::uint64_t seed) {
     a.records = node.ssm->evidence().size();
     a.evidence_survived = a.records > 0;
     a.chain_ok = node.ssm->evidence().verify_chain() && a.records > 0;
-    for (const auto& d : node.ssm->dispatches()) {
-        if (d.dispatched_at >= 60000) a.followup_detected = true;
+    for (const auto& record : node.ssm->evidence().records()) {
+        if (record.kind == "decision" && record.at >= 60000) {
+            a.followup_detected = true;
+        }
     }
     return a;
 }

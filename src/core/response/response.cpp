@@ -35,20 +35,11 @@ void ActiveResponseManager::bind_metrics(obs::MetricsRegistry& registry) {
         &registry.histogram("cres_response_containment_latency_cycles");
 }
 
-std::uint64_t ActiveResponseManager::count(ResponseAction action) const {
-    std::uint64_t n = 0;
-    for (const auto& r : records_) {
-        if (r.action == action) ++n;
-    }
-    return n;
-}
-
 std::string ActiveResponseManager::execute(ResponseAction action,
                                            const MonitorEvent& trigger) {
     const std::string outcome = run(action, trigger);
     const sim::Cycle now = ctx_.sim != nullptr ? ctx_.sim->now() : trigger.at;
-    records_.push_back(
-        ResponseRecord{now, action, trigger.resource, outcome});
+    ++total_;
     if (m_actions_total_ != nullptr) {
         m_actions_total_->inc();
         const auto idx = static_cast<std::size_t>(action);

@@ -10,7 +10,6 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "boot/update.h"
 #include "core/response/degradation.h"
@@ -42,14 +41,6 @@ struct ResponseContext {
     std::function<std::string(const std::string& resource)> cache_partitioner;
 };
 
-/// One executed countermeasure, for metrics and forensics.
-struct ResponseRecord {
-    sim::Cycle at = 0;
-    ResponseAction action = ResponseAction::kLogOnly;
-    std::string resource;
-    std::string outcome;
-};
-
 class ActiveResponseManager : public ResponseExecutor {
 public:
     explicit ActiveResponseManager(ResponseContext context);
@@ -61,19 +52,15 @@ public:
     /// latency histogram (trigger emit -> containment action done).
     void bind_metrics(obs::MetricsRegistry& registry);
 
-    [[nodiscard]] const std::vector<ResponseRecord>& records() const noexcept {
-        return records_;
-    }
-    [[nodiscard]] std::uint64_t count(ResponseAction action) const;
-    [[nodiscard]] std::uint64_t total() const noexcept {
-        return records_.size();
-    }
+    /// Actions executed so far. The SSM's evidence log seals each one
+    /// it dispatches as an "action" record.
+    [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
 
 private:
     std::string run(ResponseAction action, const MonitorEvent& trigger);
 
     ResponseContext ctx_;
-    std::vector<ResponseRecord> records_;
+    std::uint64_t total_ = 0;
 
     // --- Observability (null until bind_metrics) -------------------------
     obs::Counter* m_actions_total_ = nullptr;

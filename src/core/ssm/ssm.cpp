@@ -8,6 +8,10 @@ namespace cres::core {
 
 namespace {
 
+/// Pre-incident flight-recorder cycles captured into a postmortem
+/// bundle (the window before the triggering event's emit cycle).
+constexpr sim::Cycle kPostmortemPreWindow = 5000;
+
 /// SSM-lifecycle SIEM record skeleton (state transitions, incident
 /// open/close): kSystem vocabulary, source "ssm".
 obs::SiemEvent siem_lifecycle(sim::Cycle at, obs::SiemKind kind,
@@ -199,12 +203,6 @@ void SystemSecurityManager::process_event(const MonitorEvent& event,
     // Policy evaluation and response dispatch.
     const auto fired = policy_.evaluate(event);
     for (const PolicyRule* rule : fired) {
-        Dispatch dispatch;
-        dispatch.event = event;
-        dispatch.dispatched_at = now;
-        dispatch.rule = rule->name;
-        dispatch.actions = rule->actions;
-        dispatches_.push_back(dispatch);
         if (m_dispatches_ != nullptr) m_dispatches_->inc();
 
         evidence_.append(now, "decision",
@@ -308,9 +306,8 @@ void SystemSecurityManager::open_postmortem(std::uint64_t incident_id,
     bundle.device = config_.device_name;
     bundle.incident_id = incident_id;
     bundle.opened_at = opened_at;
-    bundle.window_begin = opened_at > config_.postmortem_pre_window
-                              ? opened_at - config_.postmortem_pre_window
-                              : 0;
+    bundle.window_begin =
+        opened_at > kPostmortemPreWindow ? opened_at - kPostmortemPreWindow : 0;
     // Pre-incident window, captured now before the ring rolls past it.
     bundle.telemetry = recorder_->snapshot_since(bundle.window_begin);
     pending_seq_ = recorder_->total_emitted();
@@ -361,14 +358,6 @@ std::string SystemSecurityManager::sealed_postmortem(std::size_t index) const {
 
 void SystemSecurityManager::notify_full_service(sim::Cycle at) {
     transition(HealthState::kHealthy, at, "full service restored");
-}
-
-std::optional<Dispatch> SystemSecurityManager::first_dispatch_of(
-    EventCategory category, sim::Cycle since) const {
-    for (const Dispatch& d : dispatches_) {
-        if (d.event.category == category && d.event.at >= since) return d;
-    }
-    return std::nullopt;
 }
 
 bool SystemSecurityManager::attempt_compromise(const std::string& method) {

@@ -15,6 +15,10 @@
 // dispatches response actions to the executor. Polls fall on the grid
 // construction cycle + k * poll_interval, and a poll is made only when
 // events are queued: an empty poll would observe nothing.
+//
+// The evidence log is the SSM's only history: each fired rule appends a
+// "decision" record stamped with the poll cycle that dispatched it, and
+// each executed action an "action" record.
 #pragma once
 
 #include <functional>
@@ -65,21 +69,6 @@ struct SsmConfig {
     sim::Cycle poll_interval = 10;
     Bytes seal_key;  ///< Evidence-sealing key (required).
     std::string device_name = "node";  ///< Identity stamped into bundles.
-    /// Pre-incident flight-recorder cycles captured into a postmortem
-    /// bundle (the window before the triggering event's emit cycle).
-    sim::Cycle postmortem_pre_window = 5000;
-};
-
-/// A dispatched (event -> rule -> actions) decision, kept for metrics.
-struct Dispatch {
-    MonitorEvent event;
-    sim::Cycle dispatched_at = 0;
-    std::string rule;
-    std::vector<ResponseAction> actions;
-
-    [[nodiscard]] sim::Cycle latency() const noexcept {
-        return dispatched_at - event.at;
-    }
 };
 
 class SystemSecurityManager : public EventSink, public sim::Tickable {
@@ -141,9 +130,6 @@ public:
         return evidence_;
     }
     [[nodiscard]] RiskRegister& risks() noexcept { return risks_; }
-    [[nodiscard]] const std::vector<Dispatch>& dispatches() const noexcept {
-        return dispatches_;
-    }
     [[nodiscard]] std::uint64_t events_processed() const noexcept {
         return events_processed_;
     }
@@ -166,11 +152,6 @@ public:
     /// artefact (sealed under the evidence seal key). Throws Error on
     /// out-of-range indices.
     [[nodiscard]] std::string sealed_postmortem(std::size_t index) const;
-
-    /// First dispatch at-or-after `since` whose event matches the
-    /// category — detection-latency metric helper.
-    [[nodiscard]] std::optional<Dispatch> first_dispatch_of(
-        EventCategory category, sim::Cycle since = 0) const;
 
     // --- Attack surface ----------------------------------------------------
     /// An attacker with kernel privilege on the main CPU attempts to
@@ -207,7 +188,6 @@ private:
     HealthState health_ = HealthState::kHealthy;
     bool disabled_ = false;
     std::uint64_t events_processed_ = 0;
-    std::vector<Dispatch> dispatches_;
     sim::Cycle poll_origin_;  ///< Construction cycle: the poll grid's origin.
 
     void open_postmortem(std::uint64_t incident_id, sim::Cycle opened_at);

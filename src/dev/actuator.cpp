@@ -12,24 +12,6 @@ Actuator::Actuator(std::string name, double min_value, double max_value)
     if (min_ > max_) throw Error("Actuator: min > max");
 }
 
-std::size_t Actuator::clamped_count() const noexcept {
-    std::size_t n = 0;
-    for (const auto& c : history_) {
-        if (c.clamped) ++n;
-    }
-    return n;
-}
-
-double Actuator::total_travel() const noexcept {
-    double travel = 0.0;
-    double previous = 0.0;
-    for (const auto& c : history_) {
-        travel += std::abs(c.applied - previous);
-        previous = c.applied;
-    }
-    return travel;
-}
-
 mem::BusResponse Actuator::read_reg(mem::Addr offset, std::uint32_t& out,
                                     const mem::BusAttr& /*attr*/) {
     switch (offset) {
@@ -37,7 +19,7 @@ mem::BusResponse Actuator::read_reg(mem::Addr offset, std::uint32_t& out,
             out = static_cast<std::uint32_t>(to_fixed(current_));
             return mem::BusResponse::kOk;
         case kRegCount:
-            out = static_cast<std::uint32_t>(history_.size());
+            out = static_cast<std::uint32_t>(commands_);
             return mem::BusResponse::kOk;
         default:
             return mem::BusResponse::kDeviceError;
@@ -49,8 +31,13 @@ mem::BusResponse Actuator::write_reg(mem::Addr offset, std::uint32_t value,
     if (offset != kRegCommand) return mem::BusResponse::kDeviceError;
     const double requested = from_fixed(static_cast<std::int32_t>(value));
     const double applied = std::clamp(requested, min_, max_);
+    ++commands_;
+    if (requested != applied || applied > kRatedLimit ||
+        applied < -kRatedLimit) {
+        ++unsafe_;
+    }
+    travel_ += std::abs(applied - current_);
     current_ = applied;
-    history_.push_back(Command{requested, applied, requested != applied});
     return mem::BusResponse::kOk;
 }
 

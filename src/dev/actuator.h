@@ -1,13 +1,12 @@
-// Physical actuator (e.g. breaker, valve, motor drive). Records every
-// command so experiments can quantify physical impact ("damage") of an
-// attack and monitors can check plausibility (range and slew-rate
-// limits). Register map:
+// Physical actuator (e.g. breaker, valve, motor drive). Keeps running
+// totals of its commands (count, travel, commands outside the rated
+// band) so experiments can quantify the physical impact ("damage") of
+// an attack; monitors check plausibility (range and slew-rate limits)
+// on the bus writes themselves. Register map:
 //   0x00 COMMAND (W) signed 16.16 fixed-point setpoint
 //   0x04 CURRENT (R) last accepted setpoint
 //   0x08 COUNT   (R) number of commands
 #pragma once
-
-#include <vector>
 
 #include "dev/device.h"
 #include "dev/sensor.h"  // to_fixed/from_fixed
@@ -17,7 +16,7 @@ namespace cres::dev {
 class Actuator : public Device {
 public:
     /// Commands outside [min_value, max_value] are *physically* clamped
-    /// but still recorded (the plant protects itself; the monitor's job
+    /// but still counted (the plant protects itself; the monitor's job
     /// is to notice the attempt).
     Actuator(std::string name, double min_value, double max_value);
 
@@ -25,23 +24,21 @@ public:
     static constexpr mem::Addr kRegCurrent = 0x04;
     static constexpr mem::Addr kRegCount = 0x08;
 
-    struct Command {
-        double requested = 0.0;
-        double applied = 0.0;
-        bool clamped = false;
-    };
+    /// The plant's rated envelope, ±kRatedLimit: setpoints beyond it
+    /// are unsafe even where the physical range still accepts them.
+    static constexpr double kRatedLimit = 50.0;
 
     [[nodiscard]] double current() const noexcept { return current_; }
-    [[nodiscard]] const std::vector<Command>& history() const noexcept {
-        return history_;
-    }
     [[nodiscard]] std::size_t command_count() const noexcept {
-        return history_.size();
+        return commands_;
     }
-    [[nodiscard]] std::size_t clamped_count() const noexcept;
+    /// Commands that were clamped or applied beyond ±kRatedLimit.
+    [[nodiscard]] std::size_t unsafe_commands() const noexcept {
+        return unsafe_;
+    }
 
     /// Total |applied| movement — a crude physical-wear/damage metric.
-    [[nodiscard]] double total_travel() const noexcept;
+    [[nodiscard]] double total_travel() const noexcept { return travel_; }
 
 protected:
     mem::BusResponse read_reg(mem::Addr offset, std::uint32_t& out,
@@ -53,7 +50,9 @@ private:
     double min_;
     double max_;
     double current_ = 0.0;
-    std::vector<Command> history_;
+    std::size_t commands_ = 0;
+    std::size_t unsafe_ = 0;
+    double travel_ = 0.0;
 };
 
 }  // namespace cres::dev

@@ -13,11 +13,10 @@ constexpr std::uint64_t kUnset = ~std::uint64_t{0};
 
 /// Infection-graph component size that flags a worm.
 constexpr std::size_t kWormMinDevices = 8;
-/// Distinct devices reporting one replay fingerprint in-window.
-constexpr std::size_t kReplayMinDevices = 8;
+/// Distinct devices that flag a windowed track: reporting one replay
+/// fingerprint, or rejecting one downgrade version, in-window.
+constexpr std::size_t kWindowMinDevices = 8;
 constexpr sim::Cycle kReplayWindow = 60000;
-/// Distinct devices rejecting a downgrade install in-window.
-constexpr std::size_t kDowngradeMinDevices = 8;
 constexpr sim::Cycle kDowngradeWindow = 200000;
 
 }  // namespace
@@ -81,11 +80,23 @@ void FleetMonitor::observe(std::uint32_t device_index,
         if (event.detail == "frame failed authentication") {
             observe_worm(device_index, event);
         } else if (event.detail == "replayed frame detected") {
-            observe_replay(device_index, event);
+            observe_window(CampaignKind::kCoordinatedReplay,
+                           replay_by_fingerprint_[event.a], kReplayWindow,
+                           device_index, event,
+                           "coordinated replay: sequence " +
+                               std::to_string(event.a) + " replayed on " +
+                               std::to_string(kWindowMinDevices) + " devices");
         }
     } else if (event.source == "update-agent" &&
                event.detail == "rejected install (version-regression)") {
-        observe_downgrade(device_index, event);
+        observe_window(CampaignKind::kStaggeredDowngrade,
+                       downgrade_by_version_[event.a], kDowngradeWindow,
+                       device_index, event,
+                       "staggered downgrade: version " +
+                           std::to_string(event.a) + " pushed to " +
+                           std::to_string(kWindowMinDevices) +
+                           " devices against floor " +
+                           std::to_string(event.b));
     }
 }
 
@@ -166,19 +177,22 @@ void FleetMonitor::observe_worm(std::uint32_t victim,
              std::to_string(comp_size_[root]) + " devices");
 }
 
-void FleetMonitor::observe_replay(std::uint32_t device,
-                                  const obs::SiemEvent& event) {
-    WindowTrack& track = replay_by_fingerprint_[event.a];
+void FleetMonitor::observe_window(CampaignKind kind, WindowTrack& track,
+                                  sim::Cycle window, std::uint32_t device,
+                                  const obs::SiemEvent& event,
+                                  std::string detail) {
     if (track.flagged) return;
     for (auto it = track.last_seen.begin(); it != track.last_seen.end();) {
-        if (it->second + kReplayWindow < event.at) {
+        if (it->second + window < event.at) {
             it = track.last_seen.erase(it);
         } else {
             ++it;
         }
     }
+    // One sighting adds at most one device, so a track is flagged with
+    // exactly kWindowMinDevices devices: the count `detail` names.
     track.last_seen[device] = event.at;
-    if (track.last_seen.size() < kReplayMinDevices) return;
+    if (track.last_seen.size() < kWindowMinDevices) return;
     track.flagged = true;
 
     std::uint64_t first_at = kUnset;
@@ -189,41 +203,8 @@ void FleetMonitor::observe_replay(std::uint32_t device,
             members.push_back(d);
         }
     }
-    emit(CampaignKind::kCoordinatedReplay, first_at, event.at, event.a,
-         std::move(members), track.last_seen.size(),
-         "coordinated replay: sequence " + std::to_string(event.a) +
-             " replayed on " + std::to_string(track.last_seen.size()) +
-             " devices");
-}
-
-void FleetMonitor::observe_downgrade(std::uint32_t device,
-                                     const obs::SiemEvent& event) {
-    WindowTrack& track = downgrade_by_version_[event.a];
-    if (track.flagged) return;
-    for (auto it = track.last_seen.begin(); it != track.last_seen.end();) {
-        if (it->second + kDowngradeWindow < event.at) {
-            it = track.last_seen.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    track.last_seen[device] = event.at;
-    if (track.last_seen.size() < kDowngradeMinDevices) return;
-    track.flagged = true;
-
-    std::uint64_t first_at = kUnset;
-    std::vector<std::uint32_t> members;
-    for (const auto& [d, at] : track.last_seen) {
-        first_at = std::min(first_at, at);
-        if (members.size() < CampaignIncident::kDeviceSample) {
-            members.push_back(d);
-        }
-    }
-    emit(CampaignKind::kStaggeredDowngrade, first_at, event.at, event.a,
-         std::move(members), track.last_seen.size(),
-         "staggered downgrade: version " + std::to_string(event.a) +
-             " pushed to " + std::to_string(track.last_seen.size()) +
-             " devices against floor " + std::to_string(event.b));
+    emit(kind, first_at, event.at, event.a, std::move(members),
+         track.last_seen.size(), std::move(detail));
 }
 
 void FleetMonitor::emit(CampaignKind kind, std::uint64_t first_at,

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -141,9 +140,19 @@ public:
     [[nodiscard]] std::string provenance_json() const;
 
 private:
+    struct WindowTrack {
+        /// device -> latest in-window sighting.
+        std::map<std::uint32_t, std::uint64_t> last_seen;
+        bool flagged = false;
+    };
+
     void observe_worm(std::uint32_t victim, const obs::SiemEvent& event);
-    void observe_replay(std::uint32_t device, const obs::SiemEvent& event);
-    void observe_downgrade(std::uint32_t device, const obs::SiemEvent& event);
+    /// Adds `device`'s sighting to `track` after dropping sightings more
+    /// than `window` cycles old. The sighting that brings the track to
+    /// the campaign bar emits a campaign of `kind` with `detail`.
+    void observe_window(CampaignKind kind, WindowTrack& track,
+                        sim::Cycle window, std::uint32_t device,
+                        const obs::SiemEvent& event, std::string detail);
     /// Registers the campaign, emits spans/metrics/recorder records and
     /// stages the SIEM record for the next flush().
     void emit(CampaignKind kind, std::uint64_t first_at,
@@ -181,12 +190,6 @@ private:
     /// is not "infected" until an edge touches it).
     std::vector<bool> worm_member_;
 
-    struct WindowTrack {
-        /// device -> latest in-window sighting.
-        std::map<std::uint32_t, std::uint64_t> last_seen;
-        std::uint64_t first_at = 0;
-        bool flagged = false;
-    };
     std::map<std::uint64_t, WindowTrack> replay_by_fingerprint_;
     std::map<std::uint64_t, WindowTrack> downgrade_by_version_;
 

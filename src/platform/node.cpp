@@ -685,7 +685,8 @@ void Node::arm_resilience(const isa::Program& program) {
     // Peripheral envelopes.
     peripheral_monitor->watch_actuator(
         "actuator", kActuatorBase + dev::Actuator::kRegCommand,
-        core::ActuatorEnvelope{-50.0, 50.0, 20.0, 20, 2000});
+        core::ActuatorEnvelope{-dev::Actuator::kRatedLimit,
+                               dev::Actuator::kRatedLimit, 20.0, 20, 2000});
     peripheral_monitor->watch_sensor(
         sensor,
         core::SensorEnvelope{cfg.sensor_nominal - 20.0,

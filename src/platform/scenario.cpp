@@ -123,22 +123,19 @@ ScenarioResult Scenario::run(attack::Attack* attack, sim::Cycle attack_at) {
     result.downtime_cycles = node_->stats().downtime_cycles;
     result.leaked_bytes = leaked_bytes_;
 
-    for (const auto& command : node_->actuator.history()) {
-        if (command.applied > 50.0 || command.applied < -50.0 ||
-            command.clamped) {
-            ++result.unsafe_commands;
-        }
-    }
+    result.unsafe_commands = node_->actuator.unsafe_commands();
     result.actuator_travel = node_->actuator.total_travel();
 
     if (node_->ssm) {
-        const auto& dispatches = node_->ssm->dispatches();
-        for (const auto& d : dispatches) {
-            if (attack == nullptr || d.dispatched_at >= t_attack) {
+        // Detection is the first policy decision the SSM sealed at or
+        // after the attack (decisions are stamped with their dispatch
+        // cycle, so they appear in cycle order).
+        for (const auto& record : node_->ssm->evidence().records()) {
+            if (record.at < t_attack) continue;
+            if (attack != nullptr) ++result.attack_window_records;
+            if (record.kind == "decision" && !result.detected) {
                 result.detected = true;
-                if (!result.detection_latency.has_value()) {
-                    result.detection_latency = d.dispatched_at - t_attack;
-                }
+                result.detection_latency = record.at - t_attack;
             }
         }
         result.responded =
@@ -147,11 +144,6 @@ ScenarioResult Scenario::run(attack::Attack* attack, sim::Cycle attack_at) {
             node_->response_manager ? node_->response_manager->total() : 0;
         result.evidence_records = node_->ssm->evidence().size();
         result.evidence_chain_ok = node_->ssm->evidence().verify_chain();
-        for (const auto& record : node_->ssm->evidence().records()) {
-            if (attack != nullptr && record.at >= t_attack) {
-                ++result.attack_window_records;
-            }
-        }
     } else {
         // Passive platform: its "evidence" is the volatile recorder.
         result.evidence_records = node_->recorder.size();

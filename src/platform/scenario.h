@@ -39,7 +39,8 @@ struct ScenarioResult {
 
     // Containment (wire/plant ground truth).
     std::uint64_t leaked_bytes = 0;    ///< Secret bytes that left the device.
-    std::uint64_t unsafe_commands = 0; ///< Actuator commands outside ±50.
+    /// Actuator commands clamped or outside ±Actuator::kRatedLimit.
+    std::uint64_t unsafe_commands = 0;
     double actuator_travel = 0.0;
 
     // Detection & response (resilient platforms only).

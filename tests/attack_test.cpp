@@ -4,12 +4,29 @@
 
 #include <array>
 #include <functional>
+#include <string_view>
 
 #include "attack/attacks.h"
 #include "platform/scenario.h"
 
 namespace cres::attack {
 namespace {
+
+/// True when the SSM sealed a policy decision on an event whose
+/// formatted detail ("monitor/category/severity resource: ...")
+/// contains `tag`. A decision record follows the "event" record of the
+/// event it was made on.
+bool decided_on(const core::EvidenceLog& log, std::string_view tag) {
+    std::string_view last_event;
+    for (const auto& record : log.records()) {
+        if (record.kind == "event") last_event = record.detail;
+        if (record.kind == "decision" &&
+            last_event.find(tag) != std::string_view::npos) {
+            return true;
+        }
+    }
+    return false;
+}
 
 platform::ScenarioConfig quick_config(bool resilient, std::uint64_t seed) {
     platform::ScenarioConfig config;
@@ -67,14 +84,8 @@ TEST(CodeInjectionMechanics, MemoryMonitorSeesTextWrite) {
     CodeInjectionAttack attack;
     (void)scenario.run(&attack, 20000);
     // The injected jump lands in the protected text range.
-    bool code_tamper_event = false;
-    for (const auto& d : scenario.node().ssm->dispatches()) {
-        if (d.event.category == core::EventCategory::kMemory &&
-            d.event.severity == core::EventSeverity::kCritical) {
-            code_tamper_event = true;
-        }
-    }
-    EXPECT_TRUE(code_tamper_event);
+    EXPECT_TRUE(
+        decided_on(scenario.node().ssm->evidence(), "/memory/critical "));
 }
 
 TEST(DmaExfilMechanics, TransfersSecretOnPassive) {
@@ -173,13 +184,7 @@ TEST(BusProbeMechanics, GeneratesDecodeErrors) {
     platform::Scenario scenario(quick_config(true, 12));
     BusProbeAttack attack;
     (void)scenario.run(&attack, 20000);
-    bool probe_alert = false;
-    for (const auto& d : scenario.node().ssm->dispatches()) {
-        if (d.event.category == core::EventCategory::kBusViolation) {
-            probe_alert = true;
-        }
-    }
-    EXPECT_TRUE(probe_alert);
+    EXPECT_TRUE(decided_on(scenario.node().ssm->evidence(), "/bus-violation/"));
 }
 
 TEST(SsmKillMechanics, IsolatedAttemptLeavesEvidence) {

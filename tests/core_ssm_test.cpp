@@ -23,6 +23,16 @@ MonitorEvent event(sim::Cycle at, EventCategory category,
                         std::nullopt};
 }
 
+/// Cycles of the sealed "decision" records: one per fired rule,
+/// stamped with the poll that dispatched it.
+std::vector<sim::Cycle> decision_cycles(const EvidenceLog& log) {
+    std::vector<sim::Cycle> cycles;
+    for (const EvidenceRecord& record : log.records()) {
+        if (record.kind == "decision") cycles.push_back(record.at);
+    }
+    return cycles;
+}
+
 TEST(Evidence, ChainVerifies) {
     EvidenceLog log(key());
     log.append(1, "event", "first");
@@ -312,8 +322,9 @@ TEST_F(SsmFixture, DetectionLatencyBounded) {
     install_policy("rule r: severity>=alert -> log-only\n");
     ssm->submit(event(0, EventCategory::kMemory, EventSeverity::kAlert));
     sim.run_for(30);
-    ASSERT_EQ(ssm->dispatches().size(), 1u);
-    EXPECT_LE(ssm->dispatches()[0].latency(), 20u);
+    const auto decisions = decision_cycles(ssm->evidence());
+    ASSERT_EQ(decisions.size(), 1u);
+    EXPECT_LE(decisions[0], 20u);  // The event was emitted at cycle 0.
 }
 
 TEST_F(SsmFixture, HealthEscalatesWithSeverity) {
@@ -390,18 +401,6 @@ TEST_F(SsmFixture, IsolatedSsmSurvivesCompromiseAttempt) {
     EXPECT_TRUE(recorded);
 }
 
-TEST_F(SsmFixture, FirstDispatchQuery) {
-    install_policy("rule r: severity>=alert -> log-only\n");
-    ssm->submit(event(5, EventCategory::kMemory, EventSeverity::kAlert));
-    ssm->submit(event(7, EventCategory::kNetwork, EventSeverity::kAlert));
-    sim.run_for(30);
-    const auto d = ssm->first_dispatch_of(EventCategory::kNetwork);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->event.at, 7u);
-    EXPECT_FALSE(
-        ssm->first_dispatch_of(EventCategory::kControlFlow).has_value());
-}
-
 TEST_F(SsmFixture, HealthReportVerifies) {
     ssm->submit(event(0, EventCategory::kMemory, EventSeverity::kAlert));
     sim.run_for(20);
@@ -455,10 +454,8 @@ TEST_F(SsmFixture, EventsSubmittedMidDrainJoinTheSamePoll) {
     EXPECT_EQ(submitter.order,
               (std::vector<std::string>{"a", "b", "c", "d"}));
     EXPECT_EQ(ssm->events_processed(), 4u);
-    ASSERT_EQ(ssm->dispatches().size(), 4u);
-    for (const Dispatch& d : ssm->dispatches()) {
-        EXPECT_EQ(d.dispatched_at, 0u);
-    }
+    EXPECT_EQ(decision_cycles(ssm->evidence()),
+              (std::vector<sim::Cycle>{0, 0, 0, 0}));
     EXPECT_EQ(ssm->queue_depth(), 0u);
     // a and b queued (2); draining a leaves b, then c and d join it (3).
     const obs::Gauge* depth = registry.find_gauge("cres_ssm_queue_depth");
@@ -488,8 +485,8 @@ TEST_F(SsmFixture, PollGridStartsAtConstructionAndIdleCyclesRecordNothing) {
         sim.run_until(20);
         late.submit(event(20, EventCategory::kMemory, EventSeverity::kAlert));
         sim.run_until(28);
-        ASSERT_EQ(late.dispatches().size(), 1u);
-        EXPECT_EQ(late.dispatches()[0].dispatched_at, 27u);
+        EXPECT_EQ(decision_cycles(late.evidence()),
+                  (std::vector<sim::Cycle>{27}));
         sim.run_for(1000);
 
         const obs::Histogram* depth =
@@ -689,11 +686,15 @@ TEST_F(ResponseFixture, MissingFacilitiesReportUnavailable) {
 }
 
 TEST_F(ResponseFixture, RecordsAccumulate) {
+    obs::MetricsRegistry registry;
+    arm->bind_metrics(registry);
     (void)arm->execute(ResponseAction::kLogOnly, trigger("a"));
     (void)arm->execute(ResponseAction::kKillTask, trigger("b"));
     EXPECT_EQ(arm->total(), 2u);
-    EXPECT_EQ(arm->count(ResponseAction::kKillTask), 1u);
-    EXPECT_EQ(arm->records()[1].resource, "b");
+    const obs::Counter* kills = registry.find_counter(
+        "cres_response_action_total{action=\"kill-task\"}");
+    ASSERT_NE(kills, nullptr);
+    EXPECT_EQ(kills->value(), 1u);
 }
 
 TEST(Registry, CoversAllFiveCsfFunctions) {

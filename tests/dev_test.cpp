@@ -262,15 +262,22 @@ TEST(Actuator, RecordsAndClampsCommands) {
     Actuator act("a", -10.0, 10.0);
     write_reg(act, Actuator::kRegCommand,
               static_cast<std::uint32_t>(to_fixed(5.0)));
+    EXPECT_DOUBLE_EQ(act.current(), 5.0);
+    EXPECT_EQ(act.unsafe_commands(), 0u);
     write_reg(act, Actuator::kRegCommand,
               static_cast<std::uint32_t>(to_fixed(50.0)));  // Clamped.
-    ASSERT_EQ(act.command_count(), 2u);
-    EXPECT_DOUBLE_EQ(act.history()[0].applied, 5.0);
-    EXPECT_DOUBLE_EQ(act.history()[1].applied, 10.0);
-    EXPECT_TRUE(act.history()[1].clamped);
-    EXPECT_EQ(act.clamped_count(), 1u);
     EXPECT_DOUBLE_EQ(act.current(), 10.0);
+    EXPECT_EQ(act.unsafe_commands(), 1u);
+    EXPECT_EQ(act.command_count(), 2u);
+    EXPECT_EQ(read_reg(act, Actuator::kRegCount), 2u);
     EXPECT_DOUBLE_EQ(act.total_travel(), 10.0);  // 0->5->10.
+
+    // Within the physical range but beyond the rated band: unsafe.
+    Actuator wide("w", -100.0, 100.0);
+    write_reg(wide, Actuator::kRegCommand,
+              static_cast<std::uint32_t>(to_fixed(-60.0)));
+    EXPECT_DOUBLE_EQ(wide.current(), -60.0);
+    EXPECT_EQ(wide.unsafe_commands(), 1u);
 }
 
 TEST(Actuator, RejectsInvertedRange) {

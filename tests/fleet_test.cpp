@@ -7,8 +7,10 @@
 
 #include "attack/attacks.h"
 #include "attack/campaigns.h"
+#include "core/ssm/report.h"
 #include "obs/postmortem.h"
 #include "platform/fleet.h"
+#include "platform/fleet_monitor.h"
 
 namespace cres::platform {
 namespace {
@@ -144,8 +146,14 @@ TEST(Fleet, DevicesAreIndependent) {
     attack.launch(fleet.device(0), 5000);
     fleet.run(30000);
     // Device 0 had an incident; the rest ran clean.
+    const auto decisions = [&fleet](std::size_t i) {
+        return core::generate_incident_report(fleet.device(i).ssm->evidence(),
+                                              "")
+            .decisions;
+    };
+    EXPECT_GT(decisions(0), 0u);
     for (std::size_t i = 1; i < fleet.size(); ++i) {
-        EXPECT_EQ(fleet.device(i).ssm->dispatches().size(), 0u) << i;
+        EXPECT_EQ(decisions(i), 0u) << i;
     }
 }
 
@@ -406,6 +414,42 @@ TEST(FleetCampaign, StaggeredDowngradeDetectedWithoutDeviceIncidents) {
     EXPECT_EQ(incident.fingerprint, 1u);  // The offered (stale) version.
     EXPECT_GE(incident.device_total, 8u);
     expect_no_device_incidents(fleet);
+}
+
+// The replay and downgrade correlators share one windowed track but
+// keep their own windows: eight sightings spread over 87.5k cycles
+// make a downgrade campaign (200k window) and no replay campaign (60k
+// window: the oldest sightings expire before the eighth arrives).
+TEST(FleetCampaign, WindowedCorrelatorsKeepTheirOwnWindows) {
+    obs::MetricsRegistry registry;
+    obs::FlightRecorder recorder(64);
+    FleetMonitor monitor(16, registry, recorder);
+    for (std::uint32_t device = 0; device < 8; ++device) {
+        obs::SiemEvent replay;
+        replay.at = device * 12500;
+        replay.source = "network-monitor";
+        replay.detail = "replayed frame detected";
+        replay.a = 2;
+        monitor.observe(device, replay);
+
+        obs::SiemEvent downgrade;
+        downgrade.at = device * 12500;
+        downgrade.source = "update-agent";
+        downgrade.detail = "rejected install (version-regression)";
+        downgrade.a = 1;
+        downgrade.b = 5;
+        monitor.observe(device, downgrade);
+    }
+
+    ASSERT_EQ(monitor.campaigns().size(), 1u);
+    const CampaignIncident& incident = monitor.campaigns().front();
+    EXPECT_EQ(incident.kind, CampaignKind::kStaggeredDowngrade);
+    EXPECT_EQ(incident.first_at, 0u);
+    EXPECT_EQ(incident.detected_at, 87500u);
+    EXPECT_EQ(incident.device_total, 8u);
+    EXPECT_EQ(incident.detail,
+              "staggered downgrade: version 1 pushed to 8 devices against "
+              "floor 5");
 }
 
 TEST(FleetCampaign, CombinedEstateExportsVerifiableEvidence) {

@@ -56,16 +56,20 @@ TEST(IrqWorkload, ResilientStackCoversIrqVariant) {
     node.arm_resilience(p);
     node.run(30000);
     node.take_checkpoint();
+    const auto decisions = [&node] {
+        return core::generate_incident_report(node.ssm->evidence(), "irq-node")
+            .decisions;
+    };
 
     // No false positives from interrupt-driven control.
-    EXPECT_EQ(node.ssm->dispatches().size(), 0u);
+    EXPECT_EQ(decisions(), 0u);
     EXPECT_GT(node.stats().control_iterations, 20u);
 
     // A hang is detected and recovered exactly as in the polled variant.
     node.cpu.halt();
     node.run(20000);
     EXPECT_GE(node.recovery->restores(), 1u);
-    EXPECT_GT(node.ssm->dispatches().size(), 0u);
+    EXPECT_GT(decisions(), 0u);
 }
 
 TEST(IncidentReport, CleanLogReportsNoIncident) {
